@@ -35,12 +35,12 @@ pub mod system;
 
 pub use solver::{
     generic_default_policy, solve_generic, solve_generic_warm, solve_generic_with_policy,
-    solve_maxmin, solve_maxmin_columnar, solve_maxmin_traced, try_solve_maxmin,
-    try_solve_maxmin_columnar, EquilibriumError, RateEquilibrium, SolveStats,
+    solve_maxmin, solve_maxmin_traced, try_solve_maxmin, EquilibriumError, RateEquilibrium,
+    SolveStats,
 };
 pub use source::{
     lambda_block_partials, profile_block_slices, solve_maxmin_with_source, AggregateSource,
-    LocalSource, SourceProfile, SourceSolveError,
+    LocalSource, PartitionedSource, SourceProfile, SourceSolveError,
 };
 pub use surplus::{
     consumer_surplus, consumer_surplus_columnar, per_cp_surplus, per_cp_surplus_columnar_into,

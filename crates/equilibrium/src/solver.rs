@@ -10,13 +10,11 @@
 //!   Axioms 1–4 and iterates the demand↔throughput map to its fixed point
 //!   with damping.
 
+use crate::source::{drive, LocalSource, SourceSolveError};
 use pubopt_alloc::RateAllocator;
 use pubopt_demand::Population;
-use pubopt_num::recover::{robust_bisect, robust_fixed_point, SolveDiagnostics, SolverPolicy};
-use pubopt_num::{
-    blocked_sum, roots::bisect_counted, FixedPointError, FixedPointOptions, Tolerance,
-};
-use std::cell::Cell;
+use pubopt_num::recover::{robust_fixed_point, SolveDiagnostics, SolverPolicy};
+use pubopt_num::{FixedPointError, FixedPointOptions, Tolerance};
 
 /// A solved rate equilibrium for a system `(ν, N)`.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,7 +96,8 @@ impl std::error::Error for EquilibriumError {}
 /// non-decreasing (Assumption 1), with `Λ(0) = 0` and `Λ(max θ̂) = Σ λ̂`.
 /// If `Σ λ̂ ≤ ν` the system is uncongested and `θ_i = θ̂_i` (Axiom 2);
 /// otherwise the equilibrium water level is the root of `Λ(w) − ν`,
-/// unique by Theorem 1.
+/// unique by Theorem 1. The solve is [`crate::solve_maxmin_with_source`]
+/// over a [`LocalSource`].
 pub fn solve_maxmin(pop: &Population, nu: f64, tol: Tolerance) -> RateEquilibrium {
     solve_maxmin_traced(pop, nu, tol).0
 }
@@ -158,236 +157,10 @@ pub fn try_solve_maxmin(
     tol: Tolerance,
     policy: &SolverPolicy,
 ) -> Result<(RateEquilibrium, SolveStats), EquilibriumError> {
-    assert!(
-        nu >= 0.0 && nu.is_finite(),
-        "nu must be finite and non-negative, got {nu}"
-    );
-    pubopt_obs::incr("eq.solve_maxmin.calls");
-    let sw = pubopt_obs::Stopwatch::start("eq.solve_maxmin.ns");
-    if pop.is_empty() {
-        sw.stop();
-        return Ok((
-            RateEquilibrium {
-                nu,
-                thetas: Vec::new(),
-                demands: Vec::new(),
-                aggregate: 0.0,
-                water_level: Some(f64::INFINITY),
-            },
-            SolveStats::default(),
-        ));
-    }
-
-    // Every global reduction below goes through the fixed-lane blocked
-    // Kahan scheme (`pubopt_num::blocked_sum`): per-block compensated
-    // sums in original CP order, then an ordered combine of the 64 block
-    // totals. Identical bits to recombining per-shard block partials, so
-    // the distributed coordinator (`solve_maxmin_with_source`) reproduces
-    // this solver exactly.
-    let cps = pop.cps();
-    let lambda_evals = Cell::new(0u64);
-    let lambda_at = |w: f64| -> f64 {
-        lambda_evals.set(lambda_evals.get() + 1);
-        blocked_sum(cps.len(), |i| {
-            let cp = &cps[i];
-            let theta = cp.theta_hat.min(w);
-            cp.lambda_per_capita(theta)
-        })
-    };
-
-    let total_unconstrained = pop.total_unconstrained_per_capita();
-    let congested = total_unconstrained > nu;
-    let mut bisect_iters = 0u32;
-    let mut recovery_attempts = 0u32;
-    let (water, thetas): (f64, Vec<f64>) = if !congested {
-        (f64::INFINITY, pop.iter().map(|cp| cp.theta_hat).collect())
-    } else {
-        let w_hi = pop.max_theta_hat();
-        let w = match bisect_counted(|w| lambda_at(w) - nu, 0.0, w_hi, tol) {
-            Ok((w, iters)) => {
-                bisect_iters = iters;
-                w
-            }
-            Err(_) => {
-                // Theorem 1's bracket guarantee failed — a pathological
-                // demand family. Retry under the recovery policy; Λ is
-                // only meaningful for w ≥ 0, so clamp probes from
-                // bracket widening.
-                pubopt_obs::incr("eq.solve_maxmin.recoveries");
-                match robust_bisect(|w| lambda_at(w.max(0.0)) - nu, 0.0, w_hi, tol, policy) {
-                    Ok(s) => {
-                        recovery_attempts = s.diagnostics.attempts_used() as u32;
-                        s.root.max(0.0)
-                    }
-                    Err(e) => {
-                        sw.stop();
-                        pubopt_obs::incr("eq.solve_maxmin.failures");
-                        return Err(EquilibriumError::WaterLevel { error: e.error });
-                    }
-                }
-            }
-        };
-        (w, pop.iter().map(|cp| cp.theta_hat.min(w)).collect())
-    };
-
-    let demands: Vec<f64> = pop
-        .iter()
-        .zip(thetas.iter())
-        .map(|(cp, &t)| cp.demand_at(t))
-        .collect();
-    let aggregate = blocked_sum(cps.len(), |i| cps[i].alpha * demands[i] * thetas[i]);
-    let stats = SolveStats {
-        lambda_evals: lambda_evals.get(),
-        bisect_iters,
-        congested,
-        recovery_attempts,
-    };
-    pubopt_obs::add("eq.solve_maxmin.lambda_evals", stats.lambda_evals);
-    pubopt_obs::add(
-        "eq.solve_maxmin.bisect_iters",
-        u64::from(stats.bisect_iters),
-    );
-    sw.stop();
-    Ok((
-        RateEquilibrium {
-            nu,
-            thetas,
-            demands,
-            aggregate,
-            water_level: Some(water),
-        },
-        stats,
-    ))
-}
-
-/// [`solve_maxmin`] through the columnar batch kernels — same contract,
-/// same result, bit for bit.
-///
-/// Every Λ(w) probe evaluates the population through
-/// [`pubopt_demand::ColumnarPopulation::lambda_terms_at_water_into`]
-/// (family-partitioned, branch-free) instead of the scalar
-/// array-of-structs walk, and the final profile assembly uses the batch
-/// demand/θ kernels. The per-element arithmetic and every reduction's
-/// summation order are identical to the scalar path (see
-/// [`pubopt_demand::columnar`] for the discipline), so the returned
-/// equilibrium — water level, θ/d profiles, aggregate — and even the
-/// [`SolveStats`] bisection counts match [`solve_maxmin`] exactly; the
-/// scalar solver stays alive as the reference implementation and
-/// `tests/differential.rs` pins the equivalence.
-pub fn solve_maxmin_columnar(pop: &Population, nu: f64, tol: Tolerance) -> RateEquilibrium {
-    try_solve_maxmin_columnar(pop, nu, tol, &SolverPolicy::default())
-        .expect("Λ(0)=0 ≤ ν < Σλ̂ = Λ(max θ̂): root is bracketed for Assumption-1 demand")
-        .0
-}
-
-/// [`try_solve_maxmin`] through the columnar batch kernels (see
-/// [`solve_maxmin_columnar`]); bit-identical results under the same
-/// `Result` contract.
-///
-/// # Errors
-///
-/// [`EquilibriumError::WaterLevel`] when every recovery attempt failed.
-pub fn try_solve_maxmin_columnar(
-    pop: &Population,
-    nu: f64,
-    tol: Tolerance,
-    policy: &SolverPolicy,
-) -> Result<(RateEquilibrium, SolveStats), EquilibriumError> {
-    assert!(
-        nu >= 0.0 && nu.is_finite(),
-        "nu must be finite and non-negative, got {nu}"
-    );
-    pubopt_obs::incr("eq.solve_maxmin.calls");
-    pubopt_obs::incr("eq.solve_maxmin.columnar_calls");
-    let sw = pubopt_obs::Stopwatch::start("eq.solve_maxmin.ns");
-    if pop.is_empty() {
-        sw.stop();
-        return Ok((
-            RateEquilibrium {
-                nu,
-                thetas: Vec::new(),
-                demands: Vec::new(),
-                aggregate: 0.0,
-                water_level: Some(f64::INFINITY),
-            },
-            SolveStats::default(),
-        ));
-    }
-
-    let cols = pop.columnar();
-    let lambda_evals = Cell::new(0u64);
-    let scratch = std::cell::RefCell::new(Vec::new());
-    // Identical to the scalar probe: the batch kernel scatters each CP's
-    // α·d·θ term to its original index and the blocked Kahan reduction
-    // walks the buffer in original order with the same fixed block
-    // boundaries, so every add matches the scalar loop's.
-    let lambda_at = |w: f64| -> f64 {
-        lambda_evals.set(lambda_evals.get() + 1);
-        let mut terms = scratch.borrow_mut();
-        cols.lambda_terms_at_water_into(w, &mut terms);
-        blocked_sum(terms.len(), |i| terms[i])
-    };
-
-    let total_unconstrained = pop.total_unconstrained_per_capita();
-    let congested = total_unconstrained > nu;
-    let mut bisect_iters = 0u32;
-    let mut recovery_attempts = 0u32;
-    let water = if !congested {
-        f64::INFINITY
-    } else {
-        let w_hi = pop.max_theta_hat();
-        match bisect_counted(|w| lambda_at(w) - nu, 0.0, w_hi, tol) {
-            Ok((w, iters)) => {
-                bisect_iters = iters;
-                w
-            }
-            Err(_) => {
-                pubopt_obs::incr("eq.solve_maxmin.recoveries");
-                match robust_bisect(|w| lambda_at(w.max(0.0)) - nu, 0.0, w_hi, tol, policy) {
-                    Ok(s) => {
-                        recovery_attempts = s.diagnostics.attempts_used() as u32;
-                        s.root.max(0.0)
-                    }
-                    Err(e) => {
-                        sw.stop();
-                        pubopt_obs::incr("eq.solve_maxmin.failures");
-                        return Err(EquilibriumError::WaterLevel { error: e.error });
-                    }
-                }
-            }
-        }
-    };
-
-    // min(θ̂, ∞) = θ̂ exactly, so the uncongested profile needs no
-    // special case here (the scalar path's two arms compute the same
-    // bits).
-    let mut thetas = Vec::new();
-    cols.eval_thetas_at_water_into(water, &mut thetas);
-    let mut demands = Vec::new();
-    cols.eval_demands_into(&thetas, &mut demands);
-    let aggregate = cols.aggregate_per_capita(&demands, &thetas);
-    let stats = SolveStats {
-        lambda_evals: lambda_evals.get(),
-        bisect_iters,
-        congested,
-        recovery_attempts,
-    };
-    pubopt_obs::add("eq.solve_maxmin.lambda_evals", stats.lambda_evals);
-    pubopt_obs::add(
-        "eq.solve_maxmin.bisect_iters",
-        u64::from(stats.bisect_iters),
-    );
-    sw.stop();
-    Ok((
-        RateEquilibrium {
-            nu,
-            thetas,
-            demands,
-            aggregate,
-            water_level: Some(water),
-        },
-        stats,
-    ))
+    drive(&mut LocalSource::new(pop), nu, tol, policy).map_err(|e| match e {
+        SourceSolveError::Source(never) => match never {},
+        SourceSolveError::WaterLevel(error) => EquilibriumError::WaterLevel { error },
+    })
 }
 
 /// Solve the rate equilibrium for an arbitrary Axiom-1–4 allocator by
@@ -579,53 +352,6 @@ mod tests {
                 eq.aggregate
             );
             assert!(eq.is_congested(&p));
-        }
-    }
-
-    #[test]
-    fn columnar_solver_bit_identical_to_scalar() {
-        let p: Population = vec![
-            ContentProvider::new(0.3, 2.0, DemandKind::exponential(1.7), 0.5, 2.0),
-            ContentProvider::new(0.2, 0.9, DemandKind::constant_elasticity(0.8), 0.5, 1.0),
-            ContentProvider::new(0.25, 1.4, DemandKind::smoothed_step(0.6, 0.2), 0.5, 3.0),
-            ContentProvider::new(0.15, 3.1, DemandKind::logistic(6.0, 0.5), 0.5, 0.7),
-            ContentProvider::new(0.1, 0.4, DemandKind::Constant, 0.5, 1.3),
-            ContentProvider::new(0.05, 1.0, DemandKind::HardStep { threshold: 0.5 }, 0.5, 0.2),
-        ]
-        .into();
-        for nu in [0.0, 0.05, 0.3, 0.9, 1.7, 10.0] {
-            let (scalar, s_stats) =
-                try_solve_maxmin(&p, nu, Tolerance::STRICT, &SolverPolicy::default())
-                    .expect("scalar solve");
-            let (cols, c_stats) =
-                try_solve_maxmin_columnar(&p, nu, Tolerance::STRICT, &SolverPolicy::default())
-                    .expect("columnar solve");
-            assert_eq!(
-                s_stats, c_stats,
-                "nu={nu}: stats must match (same trajectory)"
-            );
-            assert_eq!(
-                scalar.aggregate.to_bits(),
-                cols.aggregate.to_bits(),
-                "nu={nu} aggregate"
-            );
-            assert_eq!(
-                scalar.water_level.map(f64::to_bits),
-                cols.water_level.map(f64::to_bits),
-                "nu={nu} water"
-            );
-            for i in 0..p.len() {
-                assert_eq!(
-                    scalar.thetas[i].to_bits(),
-                    cols.thetas[i].to_bits(),
-                    "nu={nu} theta[{i}]"
-                );
-                assert_eq!(
-                    scalar.demands[i].to_bits(),
-                    cols.demands[i].to_bits(),
-                    "nu={nu} demand[{i}]"
-                );
-            }
         }
     }
 

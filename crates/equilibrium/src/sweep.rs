@@ -31,10 +31,10 @@
 //! and benches work without the `obs` feature) and through the
 //! `num.warmstart.*` observability counters.
 
-use crate::solver::{EquilibriumError, RateEquilibrium, SolveStats};
+use crate::solver::{try_solve_maxmin, EquilibriumError, RateEquilibrium, SolveStats};
 use pubopt_demand::columnar::{eval_demand, family_params};
 use pubopt_demand::{Family, Population};
-use pubopt_num::recover::{robust_bisect, SolverPolicy};
+use pubopt_num::recover::SolverPolicy;
 use pubopt_num::{roots::bisect_counted, KahanSum, RootError, Tolerance};
 use std::cell::Cell;
 
@@ -423,9 +423,9 @@ impl SweepCache {
 /// [`crate::try_solve_maxmin`] on a [`SweepCache`]: same contract and
 /// recovery semantics, but the water-level search runs the warm-startable
 /// two-phase solve, and the cache's sorted prefix makes each Λ probe
-/// cheaper. On a phase failure (non-Assumption-1 demand) it falls back to
-/// the seed solver's full-bracket recovery path, so pathological inputs
-/// degrade identically.
+/// cheaper. On a phase failure (non-Assumption-1 demand) it re-solves
+/// through [`crate::try_solve_maxmin`], so pathological inputs get its
+/// recovery policy and degrade identically.
 ///
 /// # Errors
 ///
@@ -458,39 +458,15 @@ pub fn try_solve_maxmin_warm(
     }
     let congested = cache.total_unconstrained() > nu;
     let before = cache.effort();
-    let mut recovery_attempts = 0u32;
     let water = if !congested {
         f64::INFINITY
     } else {
         match cache.water_level(pop, nu, tol, warm) {
             Ok(w) => w,
             Err(_) => {
-                // Same recovery as the seed solver: robust bisection of
-                // the full-scan Λ over the widened cold bracket.
-                pubopt_obs::incr("eq.solve_maxmin.recoveries");
-                let cps = pop.cps();
-                let lambda_full = |w: f64| -> f64 {
-                    pubopt_num::blocked_sum(cps.len(), |i| {
-                        let cp = &cps[i];
-                        cp.lambda_per_capita(cp.theta_hat.min(w))
-                    })
-                };
-                match robust_bisect(
-                    |w| lambda_full(w.max(0.0)) - nu,
-                    0.0,
-                    pop.max_theta_hat(),
-                    tol,
-                    policy,
-                ) {
-                    Ok(s) => {
-                        recovery_attempts = s.diagnostics.attempts_used() as u32;
-                        s.root.max(0.0)
-                    }
-                    Err(e) => {
-                        pubopt_obs::incr("eq.solve_maxmin.failures");
-                        return Err(EquilibriumError::WaterLevel { error: e.error });
-                    }
-                }
+                let (eq, mut stats) = try_solve_maxmin(pop, nu, tol, policy)?;
+                stats.lambda_evals += cache.effort().lambda_evals - before.lambda_evals;
+                return Ok((eq, stats));
             }
         }
     };
@@ -518,7 +494,7 @@ pub fn try_solve_maxmin_warm(
             lambda_evals: delta_evals,
             bisect_iters: delta_iters,
             congested,
-            recovery_attempts,
+            recovery_attempts: 0,
         },
     ))
 }
@@ -566,7 +542,7 @@ pub fn solve_sweep_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::{solve_maxmin, try_solve_maxmin};
+    use crate::solver::solve_maxmin;
     use proptest::prelude::*;
     use pubopt_demand::archetypes::figure3_trio;
     use pubopt_demand::{ContentProvider, DemandKind, Population};

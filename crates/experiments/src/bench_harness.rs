@@ -1,7 +1,6 @@
 //! Dependency-free benchmark harness.
 //!
-//! Runs the same per-figure computational kernels as the criterion suite
-//! in `crates/bench/benches/figures.rs`, but with nothing outside the
+//! Times the per-figure computational kernels with nothing outside the
 //! workspace, so it works where crates.io is unreachable (CI, sealed
 //! build environments):
 //!
@@ -51,7 +50,7 @@ pub struct BenchOptions {
 /// Timing summary for one kernel.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelResult {
-    /// Kernel id, matching the criterion benchmark name where one exists.
+    /// Kernel id (`<group>/<kernel>`; see [`KERNEL_NAMES`]).
     pub name: String,
     /// Number of timed samples.
     pub samples: usize,
@@ -548,9 +547,8 @@ impl BenchReport {
     }
 }
 
-/// The kernel ids [`run`] produces, in order. Names match the criterion
-/// suite where a counterpart exists; the `runner/` kernels are
-/// harness-only.
+/// The kernel ids [`run`] produces, in order: one or more per figure,
+/// plus the `runner/` executor kernels.
 pub const KERNEL_NAMES: &[&str] = &[
     "fig2/demand_curve_6_betas_400_points",
     "fig3/trio_equilibrium_solve",

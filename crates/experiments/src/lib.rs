@@ -25,8 +25,8 @@
 //!
 //! Sweeps are embarrassingly parallel and fan out over scoped worker
 //! threads writing disjoint result slots ([`runner`]). The
-//! [`bench_harness`] module drives the same per-figure kernels as the
-//! criterion benches, with no dependencies outside the workspace
+//! [`bench_harness`] module times the per-figure kernels with no
+//! dependencies outside the workspace
 //! (`cargo run --release -p pubopt-experiments --bin bench`), and
 //! [`serveload`] replays seeded mixed workloads against the
 //! `pubopt-serve` daemon — the `loadgen` binary and the bench report's

@@ -24,107 +24,13 @@
 //! `false` as a failed run — a sharded solve that is merely *close* is
 //! a bug, never a measurement.
 
-use pubopt_demand::Population;
-use pubopt_eq::{
-    lambda_block_partials, profile_block_slices, solve_maxmin_traced, solve_maxmin_with_source,
-    AggregateSource, SourceProfile,
-};
-use pubopt_num::{shard_blocks, shard_span, Tolerance, BLOCK_LANES};
+use pubopt_eq::{solve_maxmin_traced, solve_maxmin_with_source, PartitionedSource};
+use pubopt_num::Tolerance;
 use pubopt_obs::json::{parse, Value};
 use pubopt_serve::dist::hex_f64;
 use pubopt_serve::{client, spawn, ServeConfig, ServerHandle};
 use pubopt_workload::{EnsembleConfig, Scenario, ScenarioKind};
-use std::convert::Infallible;
 use std::time::Instant;
-
-/// An [`AggregateSource`] that splits one local population into `shards`
-/// contiguous spans and answers every query by computing each shard's
-/// block partials separately, then assembling the 64-lane frame — the
-/// same arithmetic (and the same grouping) as `shards` daemons behind
-/// `/v1/shard/aggregate`, minus the sockets. Since block boundaries are
-/// fixed by `n` alone and each shard owns whole blocks, the assembled
-/// frame is bit-identical to the unsharded one.
-pub struct PartitionedSource<'a> {
-    pop: &'a Population,
-    shards: usize,
-}
-
-impl<'a> PartitionedSource<'a> {
-    /// Wrap `pop`, partitioned into `shards` spans.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `shards` divides [`BLOCK_LANES`] (the reduction
-    /// lattice: every shard must own whole blocks).
-    pub fn new(pop: &'a Population, shards: usize) -> Self {
-        assert!(
-            shards > 0 && BLOCK_LANES.is_multiple_of(shards),
-            "shard count must divide {BLOCK_LANES}, got {shards}"
-        );
-        Self { pop, shards }
-    }
-
-    /// Assemble the 64-lane frame from per-shard block partials.
-    fn frame(&self, per_shard: impl Fn(std::ops::Range<usize>) -> Vec<f64>) -> Vec<f64> {
-        let mut frame = vec![0.0; BLOCK_LANES];
-        for s in 0..self.shards {
-            let blocks = shard_blocks(s, self.shards);
-            frame[blocks.clone()].copy_from_slice(&per_shard(blocks));
-        }
-        frame
-    }
-}
-
-impl AggregateSource for PartitionedSource<'_> {
-    type Error = Infallible;
-
-    fn len(&mut self) -> Result<usize, Infallible> {
-        Ok(self.pop.len())
-    }
-
-    fn max_theta_hat(&mut self) -> Result<f64, Infallible> {
-        // Per-shard span maxes folded in shard order: max is associative,
-        // so any grouping reproduces the global fold exactly.
-        let n = self.pop.len();
-        let cps = self.pop.cps();
-        Ok((0..self.shards)
-            .map(|s| {
-                cps[shard_span(n, s, self.shards)]
-                    .iter()
-                    .map(|cp| cp.theta_hat)
-                    .fold(f64::NEG_INFINITY, f64::max)
-            })
-            .fold(f64::NEG_INFINITY, f64::max))
-    }
-
-    fn total_unconstrained_partials(&mut self) -> Result<Vec<f64>, Infallible> {
-        Ok(self.frame(|blocks| self.pop.total_unconstrained_partials(blocks)))
-    }
-
-    fn lambda_partials(&mut self, w: f64) -> Result<Vec<f64>, Infallible> {
-        Ok(self.frame(|blocks| lambda_block_partials(self.pop, w, blocks)))
-    }
-
-    fn profile(&mut self, w: f64) -> Result<SourceProfile, Infallible> {
-        let n = self.pop.len();
-        let mut thetas = Vec::with_capacity(n);
-        let mut demands = Vec::with_capacity(n);
-        let mut aggregate_partials = vec![0.0; BLOCK_LANES];
-        for s in 0..self.shards {
-            let span = shard_span(n, s, self.shards);
-            let blocks = shard_blocks(s, self.shards);
-            let (t, d, p) = profile_block_slices(self.pop, w, span, blocks.clone());
-            thetas.extend_from_slice(&t);
-            demands.extend_from_slice(&d);
-            aggregate_partials[blocks].copy_from_slice(&p);
-        }
-        Ok(SourceProfile {
-            thetas,
-            demands,
-            aggregate_partials,
-        })
-    }
-}
 
 /// One point of the in-process kernel-scaling arm.
 #[derive(Debug, Clone, PartialEq)]
@@ -320,45 +226,6 @@ pub fn sharded_solve_bench(quick: bool) -> ShardedSolveBench {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pubopt_eq::LocalSource;
-
-    #[test]
-    fn partitioned_source_matches_the_local_source_bit_for_bit() {
-        let pop = EnsembleConfig {
-            n: 777, // deliberately not a multiple of 64: ragged tail blocks
-            ..EnsembleConfig::default()
-        }
-        .generate();
-        let nu = NU_PER_CP * 777.0;
-        let mut local = LocalSource::new(&pop);
-        let (want, want_stats) =
-            solve_maxmin_with_source(&mut local, nu, Tolerance::default()).unwrap();
-        for shards in [1usize, 2, 4, 8, 16, 32, 64] {
-            let mut part = PartitionedSource::new(&pop, shards);
-            let (got, stats) =
-                solve_maxmin_with_source(&mut part, nu, Tolerance::default()).unwrap();
-            assert_eq!(
-                got.water_level.map(f64::to_bits),
-                want.water_level.map(f64::to_bits),
-                "{shards} shards: water level bits"
-            );
-            assert_eq!(got.aggregate.to_bits(), want.aggregate.to_bits());
-            assert!(bits_equal(&got.thetas, &want.thetas), "{shards} shards");
-            assert!(bits_equal(&got.demands, &want.demands), "{shards} shards");
-            assert_eq!(stats, want_stats, "{shards} shards: effort counters");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "divide")]
-    fn off_lattice_shard_count_is_rejected() {
-        let pop = EnsembleConfig {
-            n: 10,
-            ..EnsembleConfig::default()
-        }
-        .generate();
-        let _ = PartitionedSource::new(&pop, 3);
-    }
 
     #[test]
     fn quick_bench_is_byte_identical_everywhere() {

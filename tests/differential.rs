@@ -1,4 +1,5 @@
-//! Scalar-vs-columnar differential harness.
+//! Bit-identity differential harness: columnar kernels against the
+//! scalar reference, and local solves against sharded ones.
 //!
 //! The columnar kernels in `pubopt_demand::columnar` are *accelerators*,
 //! not approximations: every batch kernel is required to reproduce the
@@ -13,9 +14,14 @@
 //! * demand / throughput / `Λ`-term evaluation at a water level,
 //! * surplus terms and the Kahan-compensated aggregate,
 //! * the `SortedDemands` water-filling allocator fed by
-//!   `set_demands_columnar`,
-//! * the full max-min equilibrium solve (`try_solve_maxmin_columnar`),
-//!   including the solver trajectory (`SolveStats`).
+//!   `set_demands_columnar`.
+//!
+//! On the same populations it compares the full max-min equilibrium
+//! solve, `try_solve_maxmin` (`solve_maxmin_with_source` over the local
+//! source), against the same solve over a 4-shard `PartitionedSource` —
+//! including the solver trajectory (`SolveStats`) and the outcome on
+//! pathological inputs — and the consumer surplus of the two solves
+//! through the scalar and columnar surplus kernels.
 //!
 //! On mismatch the panic message shrinks the failure to a single CP: it
 //! names the family, seed and CP index, and prints the offending
@@ -24,7 +30,8 @@
 use pubopt_alloc::SortedDemands;
 use pubopt_demand::{ContentProvider, Demand, DemandKind, Family, Population};
 use pubopt_eq::{
-    consumer_surplus, consumer_surplus_columnar, try_solve_maxmin, try_solve_maxmin_columnar,
+    consumer_surplus, consumer_surplus_columnar, solve_maxmin_with_source, try_solve_maxmin,
+    PartitionedSource,
 };
 use pubopt_num::{Rng, SolverPolicy, Tolerance};
 
@@ -271,36 +278,36 @@ fn check_population(label: &str, seed: u64, pop: &Population, rng: &mut Rng, sc:
         }
     }
 
-    // --- full equilibrium solve -----------------------------------------
+    // --- full equilibrium solve, local vs 4-shard partition -------------
     if seed.is_multiple_of(SOLVE_EVERY) {
         let nu = rng.uniform(0.0, 3.0);
-        let policy = SolverPolicy::default();
-        let scalar = try_solve_maxmin(pop, nu, Tolerance::STRICT, &policy);
-        let batch = try_solve_maxmin_columnar(pop, nu, Tolerance::STRICT, &policy);
-        match (scalar, batch) {
-            (Ok((eq_s, st_s)), Ok((eq_c, st_c))) => {
+        let local = try_solve_maxmin(pop, nu, Tolerance::STRICT, &SolverPolicy::default());
+        let sharded =
+            solve_maxmin_with_source(&mut PartitionedSource::new(pop, 4), nu, Tolerance::STRICT);
+        match (local, sharded) {
+            (Ok((eq_l, st_l)), Ok((eq_p, st_p))) => {
                 assert_eq!(
-                    st_s, st_c,
+                    st_l, st_p,
                     "[{label} seed={seed}] solver trajectories diverged"
                 );
                 assert_bits(
-                    eq_s.aggregate,
-                    eq_c.aggregate,
+                    eq_l.aggregate,
+                    eq_p.aggregate,
                     label,
                     seed,
                     "solve aggregate",
                     0,
                     pop,
                 );
-                let w_s = eq_s.water_level.unwrap_or(f64::NAN);
-                let w_c = eq_c.water_level.unwrap_or(f64::NAN);
-                if !(w_s.is_nan() && w_c.is_nan()) {
-                    assert_bits(w_s, w_c, label, seed, "solve water", 0, pop);
+                let w_l = eq_l.water_level.unwrap_or(f64::NAN);
+                let w_p = eq_p.water_level.unwrap_or(f64::NAN);
+                if !(w_l.is_nan() && w_p.is_nan()) {
+                    assert_bits(w_l, w_p, label, seed, "solve water", 0, pop);
                 }
                 for i in 0..n {
                     assert_bits(
-                        eq_s.thetas[i],
-                        eq_c.thetas[i],
+                        eq_l.thetas[i],
+                        eq_p.thetas[i],
                         label,
                         seed,
                         "solve theta",
@@ -308,8 +315,8 @@ fn check_population(label: &str, seed: u64, pop: &Population, rng: &mut Rng, sc:
                         pop,
                     );
                     assert_bits(
-                        eq_s.demands[i],
-                        eq_c.demands[i],
+                        eq_l.demands[i],
+                        eq_p.demands[i],
                         label,
                         seed,
                         "solve demand",
@@ -317,15 +324,15 @@ fn check_population(label: &str, seed: u64, pop: &Population, rng: &mut Rng, sc:
                         pop,
                     );
                 }
-                let phi_s = consumer_surplus(pop, &eq_s);
-                let phi_c = consumer_surplus_columnar(pop, &eq_c);
+                let phi_s = consumer_surplus(pop, &eq_l);
+                let phi_c = consumer_surplus_columnar(pop, &eq_p);
                 assert_bits(phi_s, phi_c, label, seed, "consumer surplus", 0, pop);
             }
             (Err(_), Err(_)) => {} // both paths must agree even on failure
-            (s, b) => panic!(
-                "[{label} seed={seed}] solver outcome diverged: scalar {} vs columnar {}",
-                if s.is_ok() { "Ok" } else { "Err" },
-                if b.is_ok() { "Ok" } else { "Err" },
+            (l, p) => panic!(
+                "[{label} seed={seed}] solver outcome diverged: local {} vs sharded {}",
+                if l.is_ok() { "Ok" } else { "Err" },
+                if p.is_ok() { "Ok" } else { "Err" },
             ),
         }
     }

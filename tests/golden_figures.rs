@@ -25,6 +25,7 @@
 use pubopt_experiments::{run_figure, Config, FigureStatus};
 use pubopt_obs::json::{self, Value};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Per-cell agreement budget: |a − b| ≤ ATOL + RTOL·max(|a|, |b|).
 /// Equilibrium sweeps solve water levels to 1e-6 (`Tolerance::COARSE` in
@@ -48,9 +49,17 @@ fn fixture_path(id: &str) -> PathBuf {
         .join(format!("{id}.json"))
 }
 
+/// Each capture writes its CSVs to a directory of its own: tests run
+/// concurrently, and two captures of one figure must never read each
+/// other's half-written files.
 fn golden_config(id: &str, scale: Option<usize>) -> Config {
+    static CAPTURES: AtomicUsize = AtomicUsize::new(0);
+    let capture = CAPTURES.fetch_add(1, Ordering::Relaxed);
     Config {
-        out_dir: std::env::temp_dir().join(format!("pubopt-golden-{id}")),
+        out_dir: std::env::temp_dir().join(format!(
+            "pubopt-golden-{id}-{}-{capture}",
+            std::process::id()
+        )),
         fast: true,
         threads: 4,
         scale,
@@ -60,13 +69,14 @@ fn golden_config(id: &str, scale: Option<usize>) -> Config {
 
 /// Run the figure and capture every CSV it wrote as (name, headers, rows).
 fn capture(id: &str, scale: Option<usize>) -> Vec<(String, Vec<String>, Vec<Vec<f64>>)> {
-    let result = run_figure(id, &golden_config(id, scale));
+    let config = golden_config(id, scale);
+    let result = run_figure(id, &config);
     assert_ne!(
         result.status,
         FigureStatus::Failed,
         "{id}: sweep unusable, cannot capture/verify goldens"
     );
-    result
+    let tables = result
         .files
         .iter()
         .map(|path| {
@@ -85,7 +95,10 @@ fn capture(id: &str, scale: Option<usize>) -> Vec<(String, Vec<String>, Vec<Vec<
             let name = path.file_name().unwrap().to_string_lossy().into_owned();
             (name, headers, rows)
         })
-        .collect()
+        .collect();
+    // Best effort: a leftover directory only costs temp space.
+    let _ = std::fs::remove_dir_all(&config.out_dir);
+    tables
 }
 
 fn to_fixture(id: &str, scale: Option<usize>) -> Value {
@@ -192,6 +205,22 @@ fn fig4_matches_golden() {
 #[test]
 fn fig5_matches_golden() {
     check_against_fixture("fig5", Some(100));
+}
+
+/// Two captures of one figure at the same time must not share output
+/// files (each would otherwise read the other's half-written CSVs).
+#[test]
+fn concurrent_captures_of_one_figure_match_golden() {
+    std::thread::scope(|s| {
+        let workers: Vec<_> = (0..2)
+            .map(|_| s.spawn(|| check_against_fixture("fig2", None)))
+            .collect();
+        for w in workers {
+            if let Err(panic) = w.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    });
 }
 
 /// End-to-end bit-identity guard for the columnar demand kernels.
