@@ -31,7 +31,7 @@ use pubopt_core::{
 };
 use pubopt_demand::{Demand, DemandKind, Population};
 use pubopt_eq::{solve_maxmin, solve_maxmin_traced, SolveStats, SweepEffort};
-use pubopt_netsim::{compare_report_to_maxmin, FlowGroup, FluidSim, ScaledSim, SimConfig};
+use pubopt_netsim::{compare_report_to_maxmin, FlowGroup, ScaledSim, SimConfig};
 use pubopt_num::Tolerance;
 use pubopt_obs::json::Value;
 use pubopt_workload::{EnsembleConfig, PhiDistribution, Scenario, ScenarioKind};
@@ -157,10 +157,7 @@ pub struct WarmstartAb {
 }
 
 /// One event-driven throughput point of the netsim flow-scaling table
-/// (the ISSUE 10 flows/sec curve). Each point runs [`ScaledSim`] alone —
-/// the fixed-dt comparison lives in the parent [`NetsimScaling`] — so
-/// the table can climb to populations the per-tick integrator cannot
-/// reach in bench time.
+/// (the flows/sec curve), run on [`ScaledSim`] with one worker.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetsimScalePoint {
     /// Total modelled flows across all groups.
@@ -183,35 +180,24 @@ pub struct NetsimScalePoint {
     pub divergence: f64,
 }
 
-/// Calendar-queue event-driven simulator vs the fixed-dt integrator
-/// (ISSUE 10 acceptance: the 100k-flow, 60-sim-second event run is
-/// ≥ 20× faster than fixed-dt at matched convergence, and traces are
-/// bit-identical across 1/2/4/8 workers).
+/// The calendar-queue simulator at scale: the 100k-flow, 60-sim-second
+/// matched-RTT flagship run, the flow-scaling table, and the 1/2/4/8-worker
+/// bit-identity probe. (Its head-to-head against the fixed-dt integrator
+/// is a `pubopt-netsim` test, next to that test oracle.)
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetsimScaling {
     /// Simulated duration per run (warmup + measurement), seconds.
     pub sim_seconds: f64,
-    /// Total flows in the head-to-head comparison population.
+    /// Total flows in the flagship population.
     pub flows: usize,
-    /// Flow groups in the comparison population.
+    /// Flow groups in the flagship population.
     pub groups: usize,
     /// Aggregate classes the event path collapses the groups into.
     pub classes: usize,
-    /// Median wall nanoseconds for one fixed-dt [`FluidSim`] run.
-    pub fixed_dt_ns: u64,
     /// Median wall nanoseconds for one event-driven [`ScaledSim`] run.
     pub event_ns: u64,
-    /// `fixed_dt_ns / event_ns`.
-    pub speedup: f64,
-    /// Mean divergence of the fixed-dt run from the max-min prediction.
-    pub fixed_divergence: f64,
-    /// Mean divergence of the event-driven run from the same prediction
-    /// ("matched convergence" means this sits in the same tolerance band
-    /// as `fixed_divergence`).
+    /// Mean divergence of the run from the max-min prediction.
     pub event_divergence: f64,
-    /// Per-group integration steps the fixed-dt run executes
-    /// (`groups × ticks` — the O(·) work term).
-    pub fixed_updates: u64,
     /// Class AIMD updates the event-driven run executes.
     pub event_updates: u64,
     /// Event-driven flow-scaling table (10k → 1M flows in the full run).
@@ -270,8 +256,8 @@ pub struct BenchReport {
     /// points at 1M–10M CPs plus an end-to-end loopback cluster, every
     /// point byte-identity-checked against the single-process solver.
     pub sharded_solve: ShardedSolveBench,
-    /// Calendar-queue event simulator vs fixed-dt integrator: the
-    /// 100k-flow head-to-head plus the event-only flow-scaling table.
+    /// Calendar-queue event simulator: the 100k-flow flagship run plus
+    /// the flow-scaling table.
     pub netsim_scaling: NetsimScaling,
     /// End-to-end `/v1/whatif` co-simulation: cold vs cached timing plus
     /// the cross-daemon worker-count byte-identity probe.
@@ -279,7 +265,7 @@ pub struct BenchReport {
 }
 
 impl BenchReport {
-    /// Serialise the report (compact JSON, schema `pubopt-bench/v9`).
+    /// Serialise the report (compact JSON, schema `pubopt-bench/v10`).
     pub fn to_json(&self) -> String {
         let kernels = self
             .kernels
@@ -506,12 +492,8 @@ impl BenchReport {
             ("flows".into(), Value::from(ns.flows)),
             ("groups".into(), Value::from(ns.groups)),
             ("classes".into(), Value::from(ns.classes)),
-            ("fixed_dt_ns".into(), Value::from(ns.fixed_dt_ns)),
             ("event_ns".into(), Value::from(ns.event_ns)),
-            ("speedup".into(), Value::from(ns.speedup)),
-            ("fixed_divergence".into(), Value::from(ns.fixed_divergence)),
             ("event_divergence".into(), Value::from(ns.event_divergence)),
-            ("fixed_updates".into(), Value::from(ns.fixed_updates)),
             ("event_updates".into(), Value::from(ns.event_updates)),
             ("points".into(), Value::Array(netsim_points)),
             ("byte_identical".into(), Value::from(ns.byte_identical)),
@@ -526,7 +508,7 @@ impl BenchReport {
             ("byte_identical".into(), Value::from(wi.byte_identical)),
         ]);
         Value::Object(vec![
-            ("schema".into(), Value::from("pubopt-bench/v9")),
+            ("schema".into(), Value::from("pubopt-bench/v10")),
             ("date".into(), Value::from(self.date.as_str())),
             ("quick".into(), Value::from(self.quick)),
             ("kernels".into(), Value::Array(kernels)),
@@ -558,7 +540,7 @@ pub const KERNEL_NAMES: &[&str] = &[
     "fig8/duopoly_point_grid_1000cps",
     "fig9_12/independent_phi_ensemble_generation",
     "fig9_12/kappa1_point_independent_phi",
-    "netsim/fluid_sim_90flows_60s",
+    "netsim/scaled_sim_90flows_60s",
     "runner/parallel_map_contention_8threads",
 ];
 
@@ -874,7 +856,7 @@ fn netsim_population(flows: usize, groups: usize, rtt_classes: usize) -> Vec<Flo
 /// link into 256 segments, which at 100k flows would make one segment
 /// hundreds of congestion windows wide; fixing it at an eighth of a
 /// flow's BDP keeps the AIMD dynamics in the same well-resolved regime
-/// at every population size, for both integrators.
+/// at every population size.
 fn netsim_scale_config(flows: usize, sim_seconds: f64, min_rtt: f64) -> SimConfig {
     let per_flow = 1.2;
     SimConfig {
@@ -886,15 +868,12 @@ fn netsim_scale_config(flows: usize, sim_seconds: f64, min_rtt: f64) -> SimConfi
     }
 }
 
-/// Run the calendar-queue netsim scaling section: the fixed-dt vs
-/// event-driven head-to-head on a matched-RTT population (where both
-/// integrators are expected inside the max-min tolerance), the
-/// event-only flow-scaling table up to 1M flows, and the 1/2/4/8-worker
+/// Run the calendar-queue netsim scaling section: the flagship run on a
+/// matched-RTT population (expected inside the max-min tolerance), the
+/// flow-scaling table up to 1M flows, and the 1/2/4/8-worker
 /// bit-identity probe on an RTT-heterogeneous population.
 fn netsim_scaling_bench(quick: bool, samples: usize) -> NetsimScaling {
-    // The head-to-head population: many groups, few classes. The fixed-dt
-    // integrator pays per group per tick; the event path pays per class
-    // per update, so the gap *is* the aggregation ratio — 2048 CPs
+    // The flagship population: many groups, few classes — 2048 CPs
     // collapsing onto 4 cap classes at a matched RTT.
     let (flows, groups, sim_seconds) = if quick {
         (2_000, 256, 4.0)
@@ -905,27 +884,17 @@ fn netsim_scaling_bench(quick: bool, samples: usize) -> NetsimScaling {
     let config = netsim_scale_config(flows, sim_seconds, 0.08);
     let capacity = config.capacity;
 
-    let fixed = time_kernel("netsim/fixed_dt", samples, || {
-        let mut sim = FluidSim::new(population.clone(), config.clone());
-        black_box(sim.run());
-    });
     let event = time_kernel("netsim/event", samples, || {
         let mut sim = ScaledSim::new(population.clone(), config.clone(), 1);
         black_box(sim.run());
     });
 
     // Convergence check, outside the timed region.
-    let fixed_report = FluidSim::new(population.clone(), config.clone()).run();
     let event_out = ScaledSim::new(population.clone(), config.clone(), 1).run();
-    let fixed_divergence =
-        compare_report_to_maxmin(&fixed_report, &population, capacity).mean_rel_error;
     let event_divergence =
         compare_report_to_maxmin(&event_out.report, &population, capacity).mean_rel_error;
-    // The fixed-dt work term: groups × ticks at dt = fraction · min RTT.
-    let ticks = (sim_seconds / (config.dt_rtt_fraction * 0.08)).round() as u64;
-    let fixed_updates = ticks * groups as u64;
 
-    // Event-only flow-scaling table. The 1M-flow point spreads its RTTs
+    // Flow-scaling table. The 1M-flow point spreads its RTTs
     // over 16 quantized classes: more lattice periods for the calendar,
     // same 64-class work term — that is the aggregation headline.
     let table: &[(usize, usize, usize)] = if quick {
@@ -987,12 +956,8 @@ fn netsim_scaling_bench(quick: bool, samples: usize) -> NetsimScaling {
         flows,
         groups,
         classes: event_out.classes,
-        fixed_dt_ns: fixed.median_ns,
         event_ns: event.median_ns,
-        speedup: fixed.median_ns.max(1) as f64 / event.median_ns.max(1) as f64,
-        fixed_divergence,
         event_divergence,
-        fixed_updates,
         event_updates: event_out.updates,
         points,
         byte_identical,
@@ -1101,7 +1066,7 @@ pub fn run(opts: BenchOptions) -> BenchReport {
             FlowGroup::new("netflix", 15, 10.0, 0.08),
             FlowGroup::new("skype", 25, 3.0, 0.08),
         ];
-        let mut sim = FluidSim::new(
+        let mut sim = ScaledSim::new(
             groups,
             SimConfig {
                 capacity: 150.0,
@@ -1109,6 +1074,7 @@ pub fn run(opts: BenchOptions) -> BenchReport {
                 measure,
                 ..SimConfig::default()
             },
+            1,
         );
         black_box(sim.run());
     }));
@@ -1239,8 +1205,8 @@ pub fn run(opts: BenchOptions) -> BenchReport {
     // the full run) plus a loopback coordinator/shard cluster, every
     // point byte-identity-checked.
     let sharded_solve = sharded_solve_bench(quick);
-    // Calendar-queue event simulator vs the fixed-dt integrator, plus
-    // the event-only flow-scaling table and worker bit-identity probe.
+    // Calendar-queue event simulator: the flagship run, plus the
+    // flow-scaling table and worker bit-identity probe.
     let netsim_scaling = netsim_scaling_bench(quick, if quick { 2 } else { heavy });
     // End-to-end /v1/whatif co-simulation through a loopback daemon.
     let whatif = whatif_bench(quick);
@@ -1321,12 +1287,8 @@ mod tests {
             flows: 100_000,
             groups: 512,
             classes: 4,
-            fixed_dt_ns: 200_000_000,
             event_ns: 5_000_000,
-            speedup: 40.0,
-            fixed_divergence: 0.05,
             event_divergence: 0.06,
-            fixed_updates: 7_680_000,
             event_updates: 3_000,
             points: vec![NetsimScalePoint {
                 flows: 1_000_000,
@@ -1485,7 +1447,7 @@ mod tests {
             whatif: stub_whatif(),
         };
         let json = report.to_json();
-        assert!(json.contains("\"schema\":\"pubopt-bench/v9\""));
+        assert!(json.contains("\"schema\":\"pubopt-bench/v10\""));
         assert!(json.contains("\"alloc_scaling\""));
         assert!(json.contains("\"demand_eval\""));
         assert!(json.contains("\"columnar_cps_per_sec\":500000000"));
@@ -1510,8 +1472,7 @@ mod tests {
         assert!(json.contains("\"relative\":1.1"));
         assert!(json.contains("\"shard_rpcs\":55"));
         assert!(json.contains("\"netsim_scaling\""));
-        assert!(json.contains("\"fixed_dt_ns\":200000000"));
-        assert!(json.contains("\"speedup\":40"));
+        assert!(json.contains("\"event_ns\":5000000"));
         assert!(json.contains("\"rtt_classes\":16"));
         assert!(json.contains("\"flows_per_sec\":125000000"));
         assert!(json.contains("\"whatif\""));
@@ -1629,12 +1590,9 @@ mod tests {
         assert!(p.scalar_cps_per_sec > 0.0 && p.columnar_cps_per_sec > 0.0);
     }
 
-    /// Quick-mode netsim scaling: the event path must already beat the
-    /// fixed-dt integrator in debug builds (the work-term gap is
-    /// structural — 64 groups × 1000 ticks against ~4 classes clocked at
-    /// their own RTT), quantized populations must aggregate, and the
-    /// worker bit-identity probe must hold on the RTT-heterogeneous
-    /// lattice.
+    /// Quick-mode netsim scaling: quantized populations must aggregate,
+    /// and the worker bit-identity probe must hold on the
+    /// RTT-heterogeneous lattice.
     #[test]
     fn netsim_scaling_quick_mode_holds_contracts() {
         let ns = netsim_scaling_bench(true, 1);
@@ -1644,18 +1602,6 @@ mod tests {
             "matched-RTT, 4-cap population must collapse to ≤ 4 classes, got {}",
             ns.classes
         );
-        assert!(
-            ns.speedup > 1.0,
-            "event path must beat fixed-dt: fixed {} ns, event {} ns",
-            ns.fixed_dt_ns,
-            ns.event_ns
-        );
-        assert!(
-            ns.event_updates * 10 < ns.fixed_updates,
-            "work term must collapse: fixed {} vs event {}",
-            ns.fixed_updates,
-            ns.event_updates
-        );
         assert!(ns.byte_identical, "1/2/4/8-worker traces must match");
         assert_eq!(ns.points.len(), 2);
         let lattice = &ns.points[1];
@@ -1663,30 +1609,22 @@ mod tests {
         assert!(lattice.classes <= 64 && lattice.updates > 0);
     }
 
-    /// The ISSUE 10 acceptance smoke at full scale, kept out of the
-    /// default run (`--ignored`; the CI netsim-scale job runs it in
-    /// release): the 100k-flow, 60-sim-second event run must be ≥ 20×
-    /// faster than fixed-dt with both integrators inside the §II-D
+    /// The acceptance smoke at full scale, kept out of the default run
+    /// (`--ignored`; the CI netsim-scale job runs it in release): the
+    /// 100k-flow, 60-sim-second event run must sit inside the §II-D
     /// divergence tolerance, traces bit-identical across 1/2/4/8
     /// workers, and the end-to-end 100k-flow `/v1/whatif` must answer
     /// byte-identically across daemons with its simulated outcome near
-    /// the analytical prediction.
+    /// the analytical prediction. (The ≥ 20× head-to-head against the
+    /// fixed-dt integrator is a `pubopt-netsim` test.)
     #[test]
     #[ignore = "full-scale release smoke; run explicitly (CI netsim-scale job)"]
     fn netsim_scale_smoke_meets_acceptance() {
         let ns = netsim_scaling_bench(false, 2);
         assert_eq!(ns.flows, 100_000);
         assert!(
-            ns.speedup >= 20.0,
-            "acceptance: >= 20x over fixed-dt, got {:.1}x (fixed {} ns, event {} ns)",
-            ns.speedup,
-            ns.fixed_dt_ns,
-            ns.event_ns
-        );
-        assert!(
-            ns.fixed_divergence <= 0.12 && ns.event_divergence <= 0.12,
-            "matched convergence: fixed {:.4}, event {:.4}",
-            ns.fixed_divergence,
+            ns.event_divergence <= 0.12,
+            "event divergence {:.4} out of tolerance",
             ns.event_divergence
         );
         assert!(ns.byte_identical, "1/2/4/8-worker traces must match");

@@ -5,7 +5,7 @@
 //! ```
 //!
 //! Runs the kernels in [`pubopt_experiments::bench_harness`] and writes
-//! `BENCH_<date>.json` (schema `pubopt-bench/v9`) into `--out` (default:
+//! `BENCH_<date>.json` (schema `pubopt-bench/v10`) into `--out` (default:
 //! current directory), printing a human-readable summary to stdout.
 //! Exits nonzero if the sharded-solve or netsim/whatif byte-identity
 //! checks fail — a distributed solve (or a worker-count-dependent
@@ -217,15 +217,10 @@ fn main() -> ExitCode {
         ns.sim_seconds, ns.flows, ns.groups, ns.classes, ns.byte_identical
     );
     println!(
-        "  fixed-dt {:>12} ({} updates, div {:.4})  event {:>12} ({} updates, div {:.4})  \
-         speedup {:.1}x",
-        fmt_ns(ns.fixed_dt_ns),
-        ns.fixed_updates,
-        ns.fixed_divergence,
+        "  event {:>12} ({} updates, div {:.4})",
         fmt_ns(ns.event_ns),
         ns.event_updates,
-        ns.event_divergence,
-        ns.speedup
+        ns.event_divergence
     );
     for p in &ns.points {
         println!(

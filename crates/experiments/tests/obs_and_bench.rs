@@ -86,7 +86,7 @@ fn bench_quick_report_parses_and_covers_every_kernel() {
     let text = report.to_json();
     let v = pubopt_obs::json::parse(&text).expect("bench JSON must parse");
 
-    assert_eq!(v["schema"].as_str(), Some("pubopt-bench/v9"));
+    assert_eq!(v["schema"].as_str(), Some("pubopt-bench/v10"));
     assert_eq!(v["quick"].as_bool(), Some(true));
     assert!(v["date"].as_str().is_some_and(|d| d.len() == 10));
 
@@ -253,21 +253,14 @@ fn bench_quick_report_parses_and_covers_every_kernel() {
         assert!(p["shard_rpcs"].as_u64().unwrap() > 0, "{p}");
     }
 
-    // The calendar-queue netsim section (schema v9): the event-driven
-    // simulator must beat the fixed-dt integrator even in debug builds
-    // (the work-term gap is structural), stay bit-identical across
-    // 1/2/4/8 workers, and publish the flow-scaling table. The release
-    // ≥ 20× acceptance number is asserted by the --ignored release
-    // smoke, not by debug timings.
+    // The calendar-queue netsim section (schema v10): the event-driven
+    // simulator must stay bit-identical across 1/2/4/8 workers and
+    // publish the flow-scaling table. Its head-to-head against the
+    // fixed-dt integrator is a pubopt-netsim test.
     let ns = &v["netsim_scaling"];
     assert_eq!(ns["byte_identical"].as_bool(), Some(true), "{ns}");
-    assert!(ns["speedup"].as_f64().unwrap() > 1.0, "{ns}");
-    assert!(ns["fixed_dt_ns"].as_u64().unwrap() > 0);
     assert!(ns["event_ns"].as_u64().unwrap() > 0);
-    assert!(
-        ns["event_updates"].as_u64().unwrap() * 10 < ns["fixed_updates"].as_u64().unwrap(),
-        "class aggregation + RTT clocking must collapse the work term: {ns}"
-    );
+    assert!(ns["event_updates"].as_u64().unwrap() > 0, "{ns}");
     let points = ns["points"].as_array().expect("netsim points array");
     assert!(!points.is_empty());
     for p in points {

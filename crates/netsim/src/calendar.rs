@@ -1,9 +1,9 @@
 //! A calendar-queue event scheduler with cancellable timers.
 //!
-//! [`crate::EventQueue`] (a binary heap) is the right tool for a handful
-//! of phase events; at serve scale the simulator schedules one recurring
-//! event per flow class plus drain timers that are rescheduled (and
-//! cancelled) every batch, and heap operations become the bottleneck.
+//! A binary heap is the right tool for a handful of phase events; at
+//! serve scale the simulator schedules one recurring event per flow class
+//! plus drain timers that are rescheduled (and cancelled) every batch,
+//! and heap operations become the bottleneck.
 //! [`CalendarQueue`] is the classic alternative (Brown 1988): events hash
 //! into time buckets of a fixed width, one "year" of buckets covers
 //! `buckets × width` seconds, and pops scan forward from the current
@@ -19,10 +19,9 @@
 //!   walks past it or a rebuild filters it out, so cancelling is O(1)
 //!   regardless of where the event sits.
 //! * **Deterministic tie-break.** Events at equal times pop in schedule
-//!   order via a monotone sequence number — the exact contract of
-//!   [`crate::EventQueue`], so the two queues are interchangeable and the
-//!   property tests in this module can use the heap as the reference
-//!   implementation.
+//!   order via a monotone sequence number — the exact contract of the
+//!   binary-heap queue the property tests in this module use as the
+//!   reference implementation.
 
 use std::collections::HashSet;
 
@@ -102,8 +101,7 @@ impl<E> Bucket<E> {
 const MIN_BUCKETS: usize = 4;
 
 /// Time-ordered event queue with O(1) amortized schedule/pop and O(1)
-/// cancellation, drop-in compatible with [`crate::EventQueue`]'s pop
-/// semantics (earliest time first, ties by schedule order).
+/// cancellation (earliest time first, ties by schedule order).
 #[derive(Debug, Clone)]
 pub struct CalendarQueue<E> {
     buckets: Vec<Bucket<E>>,
@@ -171,8 +169,7 @@ impl<E: Clone> CalendarQueue<E> {
     ///
     /// # Panics
     ///
-    /// Panics if `time` is NaN or earlier than the current time (the
-    /// same contract as [`crate::EventQueue::schedule`]).
+    /// Panics if `time` is NaN or earlier than the current time.
     pub fn schedule(&mut self, time: f64, event: E) -> EventId {
         assert!(!time.is_nan(), "event time must not be NaN");
         assert!(

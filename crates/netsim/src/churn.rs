@@ -8,10 +8,13 @@
 //! `round(α_i · M · d_i(θ̄_i))`. When the iteration settles, the
 //! simulated `(θ_i, d_i)` pair is an *emergent* rate equilibrium, to be
 //! compared against the analytical solution of Theorem 1.
+//!
+//! Every epoch runs a fresh [`ScaledSim`] on one worker, so each epoch
+//! starts from the same initial windows and an empty queue.
 
 use crate::flow::FlowGroup;
 use crate::scaled::ScaledSim;
-use crate::sim::{FluidSim, SimConfig, SimReport};
+use crate::sim::{SimConfig, SimReport};
 use pubopt_demand::Population;
 
 /// Churn-loop configuration.
@@ -35,21 +38,6 @@ pub struct ChurnConfig {
     /// Relative flow-count change below which the final epoch counts as
     /// converged (sets [`ChurnReport::converged`]).
     pub settle_tol: f64,
-    /// Carry transport state (windows, queue) across epochs instead of
-    /// rebuilding the simulator from scratch: each epoch updates the flow
-    /// counts in place via [`FluidSim::try_set_flow_count`], so congestion
-    /// windows re-converge from where the last epoch left them — the
-    /// behaviour of a real network under churn, and cheaper per epoch
-    /// once warm. Off by default: the rebuild mode's
-    /// identical-initial-conditions epochs are easier to reason about in
-    /// the equilibrium-comparison experiments.
-    pub carry_transport_state: bool,
-    /// Run each transport epoch on the event-driven [`ScaledSim`]
-    /// engine instead of the fixed-dt [`FluidSim`]. Same fixed point
-    /// (both settle at the RED operating point), far cheaper per epoch
-    /// at scale; off by default so the equilibrium-comparison
-    /// experiments keep their historical integrator.
-    pub event_driven: bool,
 }
 
 impl Default for ChurnConfig {
@@ -61,8 +49,6 @@ impl Default for ChurnConfig {
             epochs: 20,
             damping: 0.3,
             settle_tol: 0.25,
-            carry_transport_state: false,
-            event_driven: false,
         }
     }
 }
@@ -142,42 +128,10 @@ impl ChurnSim {
         let mut last_epoch = None;
         let mut final_change = f64::INFINITY;
 
-        let mut carried: Option<FluidSim> = None;
-        let mut carried_scaled: Option<ScaledSim> = None;
         for _ in 0..self.config.epochs {
-            let report = match (self.config.event_driven, self.config.carry_transport_state) {
-                (false, true) => {
-                    // Keep windows and queue across epochs; only the flow
-                    // counts change. The checked setter makes the contract
-                    // explicit: group g exists iff CP g does.
-                    let sim = carried.get_or_insert_with(|| {
-                        FluidSim::new(self.build_groups(&flows), self.config.sim.clone())
-                    });
-                    for (g, &f) in flows.iter().enumerate() {
-                        sim.try_set_flow_count(g, f)
-                            .expect("one flow group per CP by construction");
-                    }
-                    sim.run()
-                }
-                (false, false) => {
-                    FluidSim::new(self.build_groups(&flows), self.config.sim.clone()).run()
-                }
-                (true, true) => {
-                    let sim = carried_scaled.get_or_insert_with(|| {
-                        ScaledSim::new(self.build_groups(&flows), self.config.sim.clone(), 1)
-                    });
-                    for (g, &f) in flows.iter().enumerate() {
-                        sim.try_set_flow_count(g, f)
-                            .expect("one flow group per CP by construction");
-                    }
-                    sim.run().report
-                }
-                (true, false) => {
-                    ScaledSim::new(self.build_groups(&flows), self.config.sim.clone(), 1)
-                        .run()
-                        .report
-                }
-            };
+            let report = ScaledSim::new(self.build_groups(&flows), self.config.sim.clone(), 1)
+                .run()
+                .report;
             thetas.clone_from(&report.per_flow_rate);
 
             // Demand update with damping.
@@ -272,32 +226,6 @@ mod tests {
     }
 
     #[test]
-    fn carried_transport_state_reaches_the_same_equilibrium() {
-        // Carrying windows/queue across epochs changes the transient, not
-        // the fixed point: both modes must settle to the same demand.
-        let pop: Population = vec![ContentProvider::new(
-            0.5,
-            2.0,
-            DemandKind::Constant,
-            0.0,
-            0.0,
-        )]
-        .into();
-        let rebuild = ChurnSim::new(pop.clone(), 1.2, quick()).run();
-        let carried = ChurnSim::new(
-            pop,
-            1.2,
-            ChurnConfig {
-                carry_transport_state: true,
-                ..quick()
-            },
-        )
-        .run();
-        assert_eq!(carried.flows, rebuild.flows);
-        assert!(carried.converged);
-    }
-
-    #[test]
     fn churn_settles() {
         let pop: Population = vec![
             ContentProvider::new(1.0, 1.0, DemandKind::exponential(0.1), 0.0, 0.0),
@@ -312,38 +240,6 @@ mod tests {
             r.final_change
         );
         assert!(r.converged, "settled run must report converged");
-    }
-
-    #[test]
-    fn event_driven_epochs_reach_the_same_demand_equilibrium() {
-        // Swapping the fixed-dt integrator for the calendar-queue engine
-        // must not move the emergent equilibrium: same RED fixed point,
-        // same demand feedback, same settled flow counts.
-        let pop: Population = vec![
-            ContentProvider::new(0.5, 2.0, DemandKind::Constant, 0.0, 0.0),
-            ContentProvider::new(0.5, 3.0, DemandKind::exponential(1.0), 0.0, 0.0),
-        ]
-        .into();
-        let fixed = ChurnSim::new(pop.clone(), 1.0, quick()).run();
-        let event = ChurnSim::new(
-            pop,
-            1.0,
-            ChurnConfig {
-                event_driven: true,
-                ..quick()
-            },
-        )
-        .run();
-        assert!(event.converged, "event-driven churn must settle");
-        for (f, e) in fixed.flows.iter().zip(&event.flows) {
-            let (f, e) = (*f as f64, *e as f64);
-            assert!(
-                (f - e).abs() <= (0.1 * f.max(e)).max(2.0),
-                "fixed {fixed:?} vs event {event:?}",
-                fixed = fixed.flows,
-                event = event.flows
-            );
-        }
     }
 
     #[test]

@@ -1,14 +1,13 @@
-//! A deterministic discrete-event queue.
+//! A deterministic binary-heap event queue, compiled only for tests.
 //!
 //! Simulation time is `f64` seconds. Events at equal times fire in
 //! insertion order (a monotone sequence number breaks ties), which keeps
 //! runs bit-reproducible regardless of heap internals.
 //!
-//! This is the simple `O(log n)` binary-heap scheduler; the serve-scale
-//! engine uses the `O(1)`-amortized [`crate::CalendarQueue`] instead,
-//! which also supports cancellation. The two agree exactly on pop order
-//! (same `(time, seq)` contract) — the calendar queue's property tests
-//! use this heap as the reference model.
+//! This simple `O(log n)` scheduler is the reference model the
+//! [`crate::CalendarQueue`] property tests compare pop orders against
+//! (same `(time, seq)` contract), and the phase queue of the fixed-step
+//! test oracle.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

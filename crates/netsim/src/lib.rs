@@ -48,8 +48,11 @@
 
 pub mod calendar;
 pub mod churn;
-pub mod event;
+#[cfg(test)]
+mod event;
 pub mod flow;
+#[cfg(test)]
+mod oracle;
 pub mod queue;
 pub mod scaled;
 pub mod scenario;
@@ -59,11 +62,10 @@ pub mod validate;
 
 pub use calendar::{CalendarQueue, EventId};
 pub use churn::{ChurnConfig, ChurnReport, ChurnSim};
-pub use event::EventQueue;
 pub use flow::{FlowGroup, FlowState};
 pub use queue::{DropTailQueue, RedConfig, RedQueue};
 pub use scaled::{ScaledReport, ScaledSim};
 pub use scenario::{groups_from_population, RttModel};
-pub use sim::{FluidSim, GroupIndexError, SimConfig, SimReport};
-pub use trace::{record, Trace, TraceSample};
+pub use sim::{SimConfig, SimReport};
+pub use trace::{Trace, TraceSample};
 pub use validate::{compare_report_to_maxmin, compare_to_maxmin, jain_index, MaxMinComparison};

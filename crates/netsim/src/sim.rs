@@ -1,12 +1,10 @@
-//! The fluid AIMD simulation driver.
+//! Simulation parameters, the run report, and the bottleneck link that
+//! [`crate::ScaledSim`] integrates.
 //!
-//! Integrates the per-group window dynamics, the drop-tail queue and the
-//! RTT feedback with explicit Euler steps, and collects time-averaged
-//! per-flow throughput over a measurement window. The integration step is
-//! derived from the smallest base RTT so the dynamics are well resolved.
+//! The tests here are the engine properties every run must satisfy:
+//! link filling, equal sharing, caps, RTT bias, loss-free light load.
 
-use crate::event::EventQueue;
-use crate::flow::{FlowGroup, FlowState};
+use crate::flow::FlowGroup;
 use crate::queue::{DropTailQueue, RedConfig, RedQueue};
 
 /// Simulation parameters.
@@ -31,7 +29,7 @@ pub struct SimConfig {
     /// Active queue management. `Some` (the default) uses a RED queue,
     /// under which the fluid AIMD fixed point is exactly max-min fair;
     /// `None` uses plain drop-tail, whose synchronized loss bursts are the
-    /// realistic-but-messier alternative (exposed for the ablation bench).
+    /// realistic-but-messier alternative.
     pub red: Option<RedConfig>,
     /// When `true`, a group whose flow count is zero still contributes
     /// **one** probe flow to the arrival process, so its measured rate is
@@ -62,7 +60,10 @@ impl Default for SimConfig {
 pub struct SimReport {
     /// Time-averaged per-flow throughput of each group (units/s).
     pub per_flow_rate: Vec<f64>,
-    /// Time-averaged aggregate throughput at the link (units/s).
+    /// Time-averaged aggregate throughput at the link (units/s), capped at
+    /// the capacity. It counts every flow that crosses the link, so with
+    /// [`SimConfig::probe_empty_groups`] set it includes the probe flow of
+    /// each empty group.
     pub aggregate: f64,
     /// Mean loss probability observed over the measurement window.
     pub mean_loss: f64,
@@ -72,37 +73,7 @@ pub struct SimReport {
     pub duration: f64,
 }
 
-/// An out-of-range group index handed to a checked [`FluidSim`] accessor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GroupIndexError {
-    /// The offending index.
-    pub index: usize,
-    /// Number of groups in the simulator.
-    pub groups: usize,
-}
-
-impl std::fmt::Display for GroupIndexError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "group index {} out of range ({} groups)",
-            self.index, self.groups
-        )
-    }
-}
-
-impl std::error::Error for GroupIndexError {}
-
-/// Internal scheduled events (measurement phase boundary / end).
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Phase {
-    StartMeasure,
-    Stop,
-}
-
-/// The bottleneck queue variants. Shared with the event-driven
-/// [`crate::scaled::ScaledSim`], which integrates the same queue between
-/// events instead of every global tick.
+/// The bottleneck queue variants.
 #[derive(Debug, Clone)]
 pub(crate) enum Bottleneck {
     DropTail(DropTailQueue),
@@ -133,8 +104,8 @@ impl Bottleneck {
 }
 
 /// Resolve the auto MSS and build the bottleneck queue for `config` —
-/// the shared setup of [`FluidSim::new`] and the scaled event-driven
-/// simulator, so both paths model the identical link.
+/// shared by [`crate::ScaledSim`] and the fixed-step test oracle, so both
+/// model the identical link.
 pub(crate) fn build_bottleneck(config: &mut SimConfig, min_rtt: f64) -> Bottleneck {
     if config.mss == 0.0 {
         config.mss = config.capacity * min_rtt / 256.0;
@@ -146,234 +117,20 @@ pub(crate) fn build_bottleneck(config: &mut SimConfig, min_rtt: f64) -> Bottlene
     }
 }
 
-/// The fluid simulator.
-#[derive(Debug, Clone)]
-pub struct FluidSim {
-    /// Flow groups under simulation.
-    pub groups: Vec<FlowGroup>,
-    /// Configuration.
-    pub config: SimConfig,
-    states: Vec<FlowState>,
-    queue: Bottleneck,
-}
-
-impl FluidSim {
-    /// Build a simulator for the given groups.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `groups` is empty or the configuration is degenerate.
-    pub fn new(groups: Vec<FlowGroup>, mut config: SimConfig) -> Self {
-        assert!(!groups.is_empty(), "need at least one flow group");
-        assert!(config.capacity > 0.0, "capacity must be positive");
-        assert!(config.mss >= 0.0, "mss must be non-negative (0 = auto)");
-        assert!(config.dt_rtt_fraction > 0.0 && config.dt_rtt_fraction <= 0.5);
-        let min_rtt = groups
-            .iter()
-            .map(|g| g.rtt_base)
-            .fold(f64::INFINITY, f64::min);
-        let states = (0..groups.len()).map(FlowState::new).collect();
-        let queue = build_bottleneck(&mut config, min_rtt);
-        Self {
-            groups,
-            config,
-            states,
-            queue,
-        }
-    }
-
-    /// Number of flow groups under simulation.
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Replace the active flow count of group `g` (used by the churn
-    /// driver when demand reacts to congestion).
-    ///
-    /// # Errors
-    ///
-    /// [`GroupIndexError`] when `g` is out of range; the simulator is
-    /// unchanged.
-    pub fn try_set_flow_count(&mut self, g: usize, flows: usize) -> Result<(), GroupIndexError> {
-        match self.groups.get_mut(g) {
-            Some(group) => {
-                group.flows = flows;
-                Ok(())
-            }
-            None => Err(GroupIndexError {
-                index: g,
-                groups: self.groups.len(),
-            }),
-        }
-    }
-
-    /// Replace the active flow count of group `g`.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`GroupIndexError`] message (naming the offending
-    /// index and the group count) when `g` is out of range; use
-    /// [`FluidSim::try_set_flow_count`] to handle that case.
-    pub fn set_flow_count(&mut self, g: usize, flows: usize) {
-        if let Err(e) = self.try_set_flow_count(g, flows) {
-            panic!("{e}");
-        }
-    }
-
-    /// Current per-flow instantaneous rate of group `g`, or `None` when
-    /// `g` is out of range.
-    pub fn try_instantaneous_rate(&self, g: usize) -> Option<f64> {
-        let group = self.groups.get(g)?;
-        let rtt = group.rtt_base + self.queue.delay();
-        Some(self.states[g].rate(self.config.mss, rtt, group.rate_cap))
-    }
-
-    /// Current per-flow instantaneous rate of group `g`.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`GroupIndexError`] message (naming the offending
-    /// index and the group count) when `g` is out of range; use
-    /// [`FluidSim::try_instantaneous_rate`] to handle that case.
-    pub fn instantaneous_rate(&self, g: usize) -> f64 {
-        match self.try_instantaneous_rate(g) {
-            Some(rate) => rate,
-            None => panic!(
-                "{}",
-                GroupIndexError {
-                    index: g,
-                    groups: self.groups.len(),
-                }
-            ),
-        }
-    }
-
-    /// Current effective RTT of group `g` — its base RTT plus the
-    /// bottleneck's queueing delay — or `None` when `g` is out of range.
-    pub fn group_rtt(&self, g: usize) -> Option<f64> {
-        Some(self.groups.get(g)?.rtt_base + self.queue.delay())
-    }
-
-    /// Advance the dynamics by one step of length `dt`; returns the loss
-    /// probability the queue reported for the interval. Exposed for the
-    /// [`crate::trace`] recorder; normal users call [`FluidSim::run`].
-    pub fn advance(&mut self, dt: f64) -> f64 {
-        self.step(dt)
-    }
-
-    /// Current queueing delay at the bottleneck (seconds).
-    pub fn queue_delay(&self) -> f64 {
-        self.queue.delay()
-    }
-
-    fn step(&mut self, dt: f64) -> f64 {
-        let qdelay = self.queue.delay();
-        // Aggregate arrival rate across groups.
-        let mut aggregate = 0.0;
-        let mut rates = Vec::with_capacity(self.groups.len());
-        for (g, group) in self.groups.iter().enumerate() {
-            let rtt = group.rtt_base + qdelay;
-            let r = self.states[g].rate(self.config.mss, rtt, group.rate_cap);
-            rates.push(r);
-            let mut flows = group.flows as f64;
-            if flows == 0.0 && self.config.probe_empty_groups {
-                flows = 1.0;
-            }
-            aggregate += r * flows;
-        }
-        let p = self.queue.step(dt, aggregate);
-        for (g, group) in self.groups.iter().enumerate() {
-            // Groups with zero active flows still evolve their window as a
-            // *probe*: it contributes no arrival traffic but experiences
-            // the queue's loss process, so its rate tracks what a joining
-            // flow would achieve. The churn driver relies on this — demand
-            // that has evaporated must only return if a re-joining user
-            // would actually get good throughput (throughput-taking, as in
-            // the paper's Assumption 3).
-            let rtt = group.rtt_base + qdelay;
-            self.states[g].step(dt, rtt, p, self.config.mss, group.rate_cap);
-        }
-        p
-    }
-
-    /// Run warm-up then measurement; returns the report.
-    ///
-    /// Driven by the discrete-event queue: `StartMeasure` and `Stop`
-    /// events bound the phases; between events the fluid dynamics advance
-    /// in fixed steps.
-    pub fn run(&mut self) -> SimReport {
-        pubopt_obs::incr("netsim.runs");
-        let sw = pubopt_obs::Stopwatch::start("netsim.run_ns");
-        let min_rtt = self
-            .groups
-            .iter()
-            .map(|g| g.rtt_base)
-            .fold(f64::INFINITY, f64::min);
-        let dt = self.config.dt_rtt_fraction * min_rtt;
-
-        let mut events = EventQueue::new();
-        events.schedule(self.config.warmup, Phase::StartMeasure);
-        events.schedule(self.config.warmup + self.config.measure, Phase::Stop);
-
-        let mut t = 0.0;
-        let mut measuring = false;
-        let mut acc_rates = vec![0.0f64; self.groups.len()];
-        let mut acc_aggregate = 0.0;
-        let mut acc_loss = 0.0;
-        let mut acc_delay = 0.0;
-        let mut samples = 0usize;
-
-        let mut steps = 0u64;
-        let mut event_count = 0u64;
-        while let Some((event_time, phase)) = events.pop() {
-            event_count += 1;
-            // Integrate up to the event.
-            while t < event_time {
-                let step_dt = dt.min(event_time - t);
-                let p = self.step(step_dt);
-                steps += 1;
-                t += step_dt;
-                if measuring {
-                    let qdelay = self.queue.delay();
-                    let mut agg = 0.0;
-                    for (g, group) in self.groups.iter().enumerate() {
-                        let rtt = group.rtt_base + qdelay;
-                        let send = self.states[g].rate(self.config.mss, rtt, group.rate_cap);
-                        // Goodput: the share of the send rate that survives
-                        // the drop-tail queue this interval.
-                        let goodput = send * (1.0 - p);
-                        acc_rates[g] += goodput;
-                        agg += goodput * group.flows as f64;
-                    }
-                    acc_aggregate += agg.min(self.config.capacity);
-                    acc_loss += p;
-                    acc_delay += qdelay;
-                    samples += 1;
-                }
-            }
-            match phase {
-                Phase::StartMeasure => measuring = true,
-                Phase::Stop => break,
-            }
-        }
-
-        pubopt_obs::add("netsim.steps", steps);
-        pubopt_obs::add("netsim.events", event_count);
-        sw.stop();
-        let n = samples.max(1) as f64;
-        SimReport {
-            per_flow_rate: acc_rates.iter().map(|r| r / n).collect(),
-            aggregate: acc_aggregate / n,
-            mean_loss: acc_loss / n,
-            mean_queue_delay: acc_delay / n,
-            duration: t,
-        }
+/// Arrival weight of `group`: its flow count, or one probe flow for an
+/// empty group when `probe_empty_groups` is set.
+pub(crate) fn arrival_weight(group: &FlowGroup, probe_empty_groups: bool) -> f64 {
+    if group.flows == 0 && probe_empty_groups {
+        1.0
+    } else {
+        group.flows as f64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ScaledSim;
 
     fn quick_config(capacity: f64) -> SimConfig {
         SimConfig {
@@ -384,10 +141,14 @@ mod tests {
         }
     }
 
+    fn run(groups: Vec<FlowGroup>) -> SimReport {
+        ScaledSim::new(groups, quick_config(100.0), 1).run().report
+    }
+
     #[test]
     fn single_uncapped_flow_fills_the_link() {
         let groups = vec![FlowGroup::new("a", 1, 1e9, 0.1)];
-        let report = FluidSim::new(groups, quick_config(100.0)).run();
+        let report = run(groups);
         assert!(
             report.per_flow_rate[0] > 85.0,
             "one flow should nearly fill C=100, got {}",
@@ -402,7 +163,7 @@ mod tests {
             FlowGroup::new("a", 1, 1e9, 0.1),
             FlowGroup::new("b", 1, 1e9, 0.1),
         ];
-        let report = FluidSim::new(groups, quick_config(100.0)).run();
+        let report = run(groups);
         let (a, b) = (report.per_flow_rate[0], report.per_flow_rate[1]);
         assert!((a - b).abs() < 0.05 * (a + b), "a={a} b={b}");
         assert!(a + b > 85.0, "link should be well utilised: {}", a + b);
@@ -414,7 +175,7 @@ mod tests {
             FlowGroup::new("capped", 1, 10.0, 0.1),
             FlowGroup::new("greedy", 1, 1e9, 0.1),
         ];
-        let report = FluidSim::new(groups, quick_config(100.0)).run();
+        let report = run(groups);
         assert!(
             (report.per_flow_rate[0] - 10.0).abs() < 0.8,
             "capped flow ~10, got {}",
@@ -433,7 +194,7 @@ mod tests {
             FlowGroup::new("near", 1, 1e9, 0.02),
             FlowGroup::new("far", 1, 1e9, 0.2),
         ];
-        let report = FluidSim::new(groups, quick_config(100.0)).run();
+        let report = run(groups);
         assert!(
             report.per_flow_rate[0] > 1.5 * report.per_flow_rate[1],
             "near {} vs far {}",
@@ -445,7 +206,7 @@ mod tests {
     #[test]
     fn light_load_sees_no_loss() {
         let groups = vec![FlowGroup::new("tiny", 1, 5.0, 0.1)];
-        let report = FluidSim::new(groups, quick_config(100.0)).run();
+        let report = run(groups);
         assert_eq!(report.mean_loss, 0.0);
         assert!((report.per_flow_rate[0] - 5.0).abs() < 0.5);
     }
@@ -456,87 +217,18 @@ mod tests {
             FlowGroup::new("ghost", 0, 1e9, 0.1),
             FlowGroup::new("real", 1, 1e9, 0.1),
         ];
-        let report = FluidSim::new(groups, quick_config(100.0)).run();
+        let report = run(groups);
         assert!(report.per_flow_rate[1] > 85.0);
     }
 
     #[test]
     fn many_flows_split_the_link() {
         let groups = vec![FlowGroup::new("swarm", 10, 1e9, 0.05)];
-        let report = FluidSim::new(groups, quick_config(100.0)).run();
+        let report = run(groups);
         assert!(
             (report.per_flow_rate[0] - 10.0).abs() < 2.0,
             "each of 10 flows ~10, got {}",
             report.per_flow_rate[0]
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "need at least one flow group")]
-    fn rejects_empty_groups() {
-        FluidSim::new(vec![], SimConfig::default());
-    }
-
-    #[test]
-    fn checked_accessors_reject_out_of_range_groups() {
-        let mut sim = FluidSim::new(
-            vec![FlowGroup::new("only", 1, 1e9, 0.1)],
-            quick_config(100.0),
-        );
-        assert_eq!(sim.group_count(), 1);
-        assert_eq!(
-            sim.try_set_flow_count(1, 5),
-            Err(GroupIndexError {
-                index: 1,
-                groups: 1
-            })
-        );
-        assert_eq!(sim.groups[0].flows, 1, "failed update must not mutate");
-        assert_eq!(sim.try_instantaneous_rate(7), None);
-        assert_eq!(sim.group_rtt(7), None);
-
-        assert_eq!(sim.try_set_flow_count(0, 5), Ok(()));
-        assert_eq!(sim.groups[0].flows, 5);
-        assert!(sim.try_instantaneous_rate(0).unwrap() >= 0.0);
-        let rtt = sim.group_rtt(0).unwrap();
-        assert!((rtt - (0.1 + sim.queue_delay())).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "group index 3 out of range (1 groups)")]
-    fn unchecked_set_flow_count_panics_out_of_range() {
-        let mut sim = FluidSim::new(
-            vec![FlowGroup::new("only", 1, 1e9, 0.1)],
-            quick_config(100.0),
-        );
-        sim.set_flow_count(3, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "group index 3 out of range (1 groups)")]
-    fn unchecked_instantaneous_rate_panics_out_of_range() {
-        let sim = FluidSim::new(
-            vec![FlowGroup::new("only", 1, 1e9, 0.1)],
-            quick_config(100.0),
-        );
-        let _ = sim.instantaneous_rate(3);
-    }
-
-    #[test]
-    fn group_index_error_names_index_and_count() {
-        let mut sim = FluidSim::new(
-            vec![
-                FlowGroup::new("a", 1, 1e9, 0.1),
-                FlowGroup::new("b", 1, 1e9, 0.1),
-            ],
-            quick_config(100.0),
-        );
-        let err = sim.try_set_flow_count(7, 2).unwrap_err();
-        assert_eq!(err.to_string(), "group index 7 out of range (2 groups)");
-        assert_eq!(err.index, 7);
-        assert_eq!(err.groups, 2);
-        // Usable as a trait object through std::error::Error.
-        let dynamic: Box<dyn std::error::Error> = Box::new(err);
-        assert!(dynamic.to_string().contains("out of range"));
     }
 }

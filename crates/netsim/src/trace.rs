@@ -1,18 +1,16 @@
-//! Time-series tracing of a simulation run.
+//! Time-series traces of a simulation run.
 //!
-//! The aggregate report of [`crate::FluidSim::run`] hides the transient
-//! dynamics (sawtooths, loss episodes, queue oscillation). The tracer
-//! samples the state at a fixed period and returns the series — used by
-//! the `tcp_vs_maxmin` example for terminal plots and by tests that
-//! assert dynamical properties (e.g. that the RED queue settles while the
-//! drop-tail queue keeps oscillating).
+//! The aggregate report of [`crate::ScaledSim::run`] hides the transient
+//! dynamics (sawtooths, loss episodes, queue oscillation).
+//! [`crate::ScaledSim::run_traced`] samples the state at a fixed period
+//! into a [`Trace`] — used by tests that assert dynamical properties (e.g.
+//! that the RED queue settles while the drop-tail queue keeps
+//! oscillating) and by the worker bit-identity checks.
 //!
 //! Storage is **column-major**: one contiguous `Vec<f64>` per group plus
 //! shared time and queue-delay axes. [`Trace::rate_series`] is therefore
 //! a borrow, not a per-call allocation, and [`Trace::rate_cv`] iterates
 //! the column in place without cloning.
-
-use crate::sim::{FluidSim, SimConfig};
 
 /// One sampled instant of the simulation state (the row form used when
 /// feeding samples into a [`Trace`]).
@@ -104,81 +102,31 @@ impl Trace {
     }
 }
 
-/// Run a simulation for `duration` seconds, sampling every `period`
-/// seconds (after the configured warm-up), and return the trace.
-///
-/// This drives the simulator tick-by-tick itself (the normal `run()`
-/// aggregates instead of sampling).
-pub fn record(
-    groups: Vec<crate::FlowGroup>,
-    config: SimConfig,
-    duration: f64,
-    period: f64,
-) -> Trace {
-    assert!(
-        duration > 0.0 && period > 0.0,
-        "duration and period must be positive"
-    );
-    let warmup = config.warmup;
-    let mut sim = FluidSim::new(
-        groups,
-        SimConfig {
-            warmup: 0.0,
-            measure: 0.0,
-            ..config
-        },
-    );
-    let min_rtt = sim
-        .groups
-        .iter()
-        .map(|g| g.rtt_base)
-        .fold(f64::INFINITY, f64::min);
-    let dt = sim.config.dt_rtt_fraction * min_rtt;
-
-    let mut trace = Trace::default();
-    let mut t = 0.0;
-    let mut next_sample = warmup;
-    while t < warmup + duration {
-        sim.advance(dt);
-        t += dt;
-        if t >= next_sample {
-            trace.push(TraceSample {
-                time: t,
-                rates: (0..sim.groups.len())
-                    .map(|g| sim.instantaneous_rate(g))
-                    .collect(),
-                queue_delay: sim.queue_delay(),
-            });
-            next_sample += period;
-        }
-    }
-    trace
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FlowGroup;
+    use crate::{FlowGroup, ScaledSim, SimConfig};
 
-    fn groups() -> Vec<FlowGroup> {
-        vec![
-            FlowGroup::new("a", 5, 1e9, 0.05),
-            FlowGroup::new("b", 5, 1e9, 0.05),
-        ]
-    }
-
-    fn config(red: bool) -> SimConfig {
-        SimConfig {
-            capacity: 50.0,
+    /// Trace the RTT-split pair (2 flows at 20 ms, 2 at 200 ms, C = 100)
+    /// over a `measure`-second window after a 20 s warm-up.
+    fn trace_rtt_split(red: bool, measure: f64, period: f64) -> Trace {
+        let groups = vec![
+            FlowGroup::new("near", 2, 1e9, 0.02),
+            FlowGroup::new("far", 2, 1e9, 0.2),
+        ];
+        let config = SimConfig {
+            capacity: 100.0,
             warmup: 20.0,
+            measure,
             red: if red { Some(Default::default()) } else { None },
             ..SimConfig::default()
-        }
+        };
+        ScaledSim::new(groups, config, 1).run_traced(period).1
     }
 
     #[test]
     fn trace_samples_at_requested_period() {
-        let trace = record(groups(), config(true), 10.0, 0.5);
+        let trace = trace_rtt_split(true, 10.0, 0.5);
         assert!(trace.len() >= 18 && trace.len() <= 22, "{}", trace.len());
         for w in trace.times().windows(2) {
             assert!(w[1] > w[0]);
@@ -189,12 +137,13 @@ mod tests {
 
     #[test]
     fn red_is_smoother_than_droptail() {
-        // RED's continuous marking holds flows at the fixed point; the
-        // drop-tail sawtooth oscillates. The trace CV captures it.
-        let cv_red = record(groups(), config(true), 30.0, 0.1).rate_cv(0);
-        let cv_dt = record(groups(), config(false), 30.0, 0.1).rate_cv(0);
+        // RED's continuous marking holds the pair near its fixed point;
+        // under drop-tail the RTT-split pair keeps cycling. The floor on
+        // cv_red keeps rounding noise from passing the comparison.
+        let cv_red = trace_rtt_split(true, 30.0, 0.1).rate_cv(0);
+        let cv_dt = trace_rtt_split(false, 30.0, 0.1).rate_cv(0);
         assert!(
-            cv_red < cv_dt,
+            cv_red > 1e-6 && cv_dt > 1.5 * cv_red,
             "RED should be smoother: cv_red {cv_red} vs cv_droptail {cv_dt}"
         );
     }

@@ -1,13 +1,15 @@
 //! Quantifying "TCP ≈ max-min" (§II-D.2).
 //!
-//! [`compare_to_maxmin`] runs the fluid AIMD simulation for a set of flow
-//! groups and compares the measured per-flow throughputs with the
-//! water-filling prediction of [`pubopt_alloc::MaxMinFair`] on the
-//! equivalent per-capita system. The headline metrics are the mean/max
-//! relative error and the Jain fairness index of the uncapped flows.
+//! [`compare_to_maxmin`] runs the fluid AIMD simulation ([`ScaledSim`] on
+//! one worker) for a set of flow groups and compares the measured
+//! per-flow throughputs with the water-filling prediction of
+//! [`pubopt_alloc::MaxMinFair`] on the equivalent per-capita system. The
+//! headline metrics are the mean/max relative error and the Jain fairness
+//! index of the uncapped flows.
 
 use crate::flow::FlowGroup;
-use crate::sim::{FluidSim, SimConfig, SimReport};
+use crate::scaled::ScaledSim;
+use crate::sim::{SimConfig, SimReport};
 use pubopt_alloc::{MaxMinFair, RateAllocator};
 use pubopt_demand::{ContentProvider, DemandKind, Population};
 
@@ -57,8 +59,7 @@ pub fn jain_index(xs: &[f64]) -> f64 {
 pub fn compare_to_maxmin(groups: &[FlowGroup], config: SimConfig) -> MaxMinComparison {
     assert!(!groups.is_empty(), "need at least one group");
     let capacity = config.capacity;
-    let mut sim = FluidSim::new(groups.to_vec(), config);
-    let report = sim.run();
+    let report = ScaledSim::new(groups.to_vec(), config, 1).run().report;
     compare_report_to_maxmin(&report, groups, capacity)
 }
 
@@ -66,9 +67,9 @@ pub fn compare_to_maxmin(groups: &[FlowGroup], config: SimConfig) -> MaxMinCompa
 /// max-min prediction for `groups` on a link of `capacity`.
 ///
 /// This is [`compare_to_maxmin`] with the simulation factored out, so the
-/// same divergence metric applies to any engine producing a `SimReport`
-/// — in particular [`crate::ScaledSim`]'s event-driven runs and the
-/// `/v1/whatif` serving path.
+/// same divergence metric applies to any run producing a `SimReport` —
+/// multi-worker [`ScaledSim`] runs and the `/v1/whatif` serving path
+/// among them.
 pub fn compare_report_to_maxmin(
     report: &SimReport,
     groups: &[FlowGroup],

@@ -1,7 +1,7 @@
 //! Conservation and stability properties of the fluid simulator.
 
 use proptest::prelude::*;
-use pubopt_netsim::{FlowGroup, FluidSim, SimConfig};
+use pubopt_netsim::{FlowGroup, ScaledSim, SimConfig, SimReport};
 
 fn quick(capacity: f64, red: bool) -> SimConfig {
     SimConfig {
@@ -11,6 +11,10 @@ fn quick(capacity: f64, red: bool) -> SimConfig {
         red: if red { Some(Default::default()) } else { None },
         ..SimConfig::default()
     }
+}
+
+fn run(groups: Vec<FlowGroup>, config: SimConfig) -> SimReport {
+    ScaledSim::new(groups, config, 1).run().report
 }
 
 proptest! {
@@ -30,8 +34,7 @@ proptest! {
             .enumerate()
             .map(|(i, &(n, cap))| FlowGroup::new(format!("g{i}"), n, cap, 0.08))
             .collect();
-        let mut sim = FluidSim::new(groups.clone(), quick(capacity, red));
-        let report = sim.run();
+        let report = run(groups.clone(), quick(capacity, red));
         let total: f64 = report
             .per_flow_rate
             .iter()
@@ -54,8 +57,7 @@ proptest! {
             .enumerate()
             .map(|(i, &(n, cap))| FlowGroup::new(format!("g{i}"), n, cap, 0.08))
             .collect();
-        let mut sim = FluidSim::new(groups.clone(), quick(offered * 1.5 + 5.0, true));
-        let report = sim.run();
+        let report = run(groups.clone(), quick(offered * 1.5 + 5.0, true));
         for (g, group) in groups.iter().enumerate() {
             prop_assert!(report.per_flow_rate[g] > 0.85 * group.rate_cap,
                 "group {} rate {} well below its cap {}", g, report.per_flow_rate[g], group.rate_cap);
@@ -70,8 +72,8 @@ proptest! {
             FlowGroup::new("a", n1, 1e9, 0.05),
             FlowGroup::new("b", n2, 5.0, 0.1),
         ];
-        let r1 = FluidSim::new(groups.clone(), quick(capacity, true)).run();
-        let r2 = FluidSim::new(groups, quick(capacity, true)).run();
+        let r1 = run(groups.clone(), quick(capacity, true));
+        let r2 = run(groups, quick(capacity, true));
         prop_assert_eq!(r1.per_flow_rate, r2.per_flow_rate);
         prop_assert_eq!(r1.aggregate, r2.aggregate);
     }
@@ -84,7 +86,7 @@ fn equal_flows_get_equal_rates_regardless_of_queue() {
             FlowGroup::new("x", 4, 1e9, 0.08),
             FlowGroup::new("y", 4, 1e9, 0.08),
         ];
-        let report = FluidSim::new(groups, quick(80.0, red)).run();
+        let report = run(groups, quick(80.0, red));
         let (a, b) = (report.per_flow_rate[0], report.per_flow_rate[1]);
         assert!(
             (a - b).abs() < 0.05 * (a + b),

@@ -1,8 +1,7 @@
 //! Centralised floating-point tolerances.
 //!
 //! Every solver in the workspace takes a [`Tolerance`] so that experiments
-//! can trade accuracy for speed uniformly (the `ablation_solver` benchmark
-//! sweeps this).
+//! can trade accuracy for speed uniformly.
 
 /// Absolute/relative tolerance pair plus an iteration budget.
 ///

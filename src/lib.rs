@@ -66,7 +66,7 @@ pub mod prelude {
     pub use pubopt_demand::archetypes::{figure3_trio, google, netflix, skype};
     pub use pubopt_demand::{ContentProvider, Demand, DemandKind, Population};
     pub use pubopt_eq::{consumer_surplus, solve_maxmin, RateEquilibrium, System};
-    pub use pubopt_netsim::{ChurnConfig, ChurnSim, FlowGroup, FluidSim, SimConfig};
+    pub use pubopt_netsim::{ChurnConfig, ChurnSim, FlowGroup, ScaledSim, SimConfig};
     pub use pubopt_num::Tolerance;
     pub use pubopt_workload::{paper_ensemble, EnsembleConfig, Scenario, ScenarioKind};
 }
