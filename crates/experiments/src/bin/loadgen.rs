@@ -323,27 +323,16 @@ fn main() -> ExitCode {
         },
     );
 
-    // Cache counters: straight off the handle when in-process, else from
-    // the daemon's own /v1/stats.
-    let (cache_hits, cache_misses) = match &server {
-        Some(handle) => {
-            let stats = handle.cache_stats();
-            (stats.hits, stats.misses)
-        }
-        None => match client::get(target, "/v1/stats") {
-            Ok((200, body)) => {
-                let v = pubopt_obs::json::parse(&body).unwrap_or(pubopt_obs::json::Value::Null);
-                (
-                    v["cache_hits"].as_u64().unwrap_or(0),
-                    v["cache_misses"].as_u64().unwrap_or(0),
-                )
-            }
-            _ => {
-                eprintln!("warning: /v1/stats unavailable, cache counters unknown");
-                (0, 0)
-            }
-        },
+    // Daemon counters from its own /v1/stats, read before any shutdown.
+    let stats = match client::get(target, "/v1/stats") {
+        Ok((200, body)) => pubopt_obs::json::parse(&body).ok(),
+        _ => None,
     };
+    if stats.is_none() {
+        eprintln!("warning: /v1/stats unavailable, daemon counters unknown");
+    }
+    let stat = |key: &str| stats.as_ref().and_then(|v| v[key].as_u64()).unwrap_or(0);
+    let (cache_hits, cache_misses) = (stat("cache_hits"), stat("cache_misses"));
 
     let classes_json: Vec<String> = classes
         .iter()
@@ -383,14 +372,14 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
+    eprintln!(
+        "daemon: {} served, {} shed, {} panics survived, {} keep-alive reuses",
+        stat("requests"),
+        stat("shed"),
+        stat("worker_panics"),
+        stat("keepalive_reuses")
+    );
     if let Some(handle) = server {
-        eprintln!(
-            "daemon: {} served, {} shed, {} panics survived, {} keep-alive reuses",
-            handle.requests_served(),
-            handle.requests_shed(),
-            handle.panics_survived(),
-            handle.keepalive_reuses()
-        );
         handle.shutdown();
         handle.join();
     }

@@ -20,7 +20,7 @@ use pubopt_num::Rng;
 use pubopt_serve::client::{CircuitBreaker, ResilienceStats, RetryBudget};
 use pubopt_serve::{
     client, client::Client, spawn, ChaosNetConfig, ChaosProxy, ResilientClient, RetryPolicy,
-    ServeConfig,
+    ServeConfig, Stat,
 };
 use std::net::SocketAddr;
 use std::sync::OnceLock;
@@ -1111,9 +1111,9 @@ pub fn chaos_soak(opts: &ChaosSoakOptions) -> ChaosSoakSummary {
     let refusals = proxy.refusals();
     let schedule_digest = proxy.schedule_digest();
     proxy.shutdown();
-    let deadline_shed = server.deadline_shed();
-    let degraded_served = server.degraded_served();
-    let worker_respawns = server.workers_respawned();
+    let deadline_shed = server.stat(Stat::DeadlineShed);
+    let degraded_served = server.stat(Stat::DegradedServed);
+    let worker_respawns = server.stat(Stat::WorkerRespawns);
     server.shutdown();
     server.join();
 
@@ -1443,9 +1443,26 @@ mod tests {
         assert_eq!(summary.requests, 20);
         assert_eq!(summary.failed(), 0, "all queries valid: {summary:?}");
         assert!(summary.p50_us <= summary.p99_us);
+        // Every request makes exactly one cache lookup. Concurrent misses
+        // on a cold key are not merged, but a client's miss inserts its
+        // key before that client's next request and nothing is evicted,
+        // so each of the 3 clients misses each distinct key at most once.
+        let distinct = workload
+            .iter()
+            .map(|(path, body)| {
+                pubopt_serve::ApiRequest::parse(path, body)
+                    .unwrap()
+                    .canonical_key()
+            })
+            .collect::<std::collections::HashSet<_>>()
+            .len() as u64;
         let stats = server.cache_stats();
+        assert_eq!(stats.hits + stats.misses, 20, "{stats:?}");
+        assert!(
+            (distinct..=3 * distinct).contains(&stats.misses),
+            "{stats:?} over {distinct} distinct keys"
+        );
         assert!(stats.hits > 0, "a 4-entry pool over 20 draws must hit");
-        assert!(stats.misses <= 4);
         server.shutdown();
         server.join();
     }

@@ -15,10 +15,8 @@
 //! eviction, which at the designed shard sizes (≤ a few hundred entries)
 //! is noise next to the equilibrium solve that produced the entry.
 //!
-//! Hit/miss/evict counts are kept in always-on atomics (the `/v1/stats`
-//! endpoint and CI assertions need them even in builds without the obs
-//! feature) and mirrored into `pubopt_obs` counters
-//! (`serve.cache.{hit,miss,evict}`) when instrumentation is compiled in.
+//! Hit/miss/evict counts are kept in always-on atomics, read by
+//! [`ShardedCache::stats`] and reported by `/v1/stats`.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -119,13 +117,11 @@ impl ShardedCache {
                 let body = Arc::clone(body);
                 drop(shard);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                pubopt_obs::incr("serve.cache.hit");
                 Some(body)
             }
             None => {
                 drop(shard);
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                pubopt_obs::incr("serve.cache.miss");
                 None
             }
         }
@@ -145,7 +141,6 @@ impl ShardedCache {
             {
                 shard.entries.remove(&stalest);
                 self.evictions.fetch_add(1, Ordering::Relaxed);
-                pubopt_obs::incr("serve.cache.evict");
             }
         }
         shard.entries.insert(key.to_owned(), (tick, body));

@@ -260,7 +260,6 @@ impl Shared {
         let fault = scheduled_fault(&self.config, conn_id, op)?;
         *spent += 1;
         self.faults.fetch_add(1, Ordering::Relaxed);
-        pubopt_obs::incr("chaosnet.faults");
         self.log
             .lock()
             .expect("chaosnet log poisoned")

@@ -27,7 +27,7 @@
 //!   *request-count* (not wall-clock) cooldown so breaker transitions
 //!   are replayable;
 //! * [`ResilientClient`] — the composition: deadline header attachment,
-//!   `Retry-After` honoring, and `serve.breaker.*` obs counters.
+//!   `Retry-After` honoring, and the [`ResilienceStats`] counters.
 
 use pubopt_num::chaos::{chaos_draw, ChaosInjector};
 use std::io::{Read, Write};
@@ -540,10 +540,8 @@ impl CircuitBreaker {
                 self.shorted_since_open += 1;
                 if self.shorted_since_open >= self.cooldown_requests {
                     self.state = BreakerState::HalfOpen;
-                    pubopt_obs::incr("serve.breaker.half_open");
                     true
                 } else {
-                    pubopt_obs::incr("serve.breaker.short_circuit");
                     false
                 }
             }
@@ -556,7 +554,6 @@ impl CircuitBreaker {
         self.consecutive_failures = 0;
         if self.state == BreakerState::HalfOpen {
             self.state = BreakerState::Closed;
-            pubopt_obs::incr("serve.breaker.close");
             return true;
         }
         false
@@ -571,7 +568,6 @@ impl CircuitBreaker {
                 // cooldown round.
                 self.state = BreakerState::Open;
                 self.shorted_since_open = 0;
-                pubopt_obs::incr("serve.breaker.open");
                 true
             }
             BreakerState::Closed => {
@@ -579,7 +575,6 @@ impl CircuitBreaker {
                 if self.consecutive_failures >= self.failure_threshold {
                     self.state = BreakerState::Open;
                     self.shorted_since_open = 0;
-                    pubopt_obs::incr("serve.breaker.open");
                     true
                 } else {
                     false
@@ -779,7 +774,6 @@ impl ResilientClient {
             }
         }
         self.stats.hard_failures += 1;
-        pubopt_obs::incr("serve.client.hard_failures");
         Err(last_err.unwrap_or_else(|| std::io::Error::other("no attempt was admitted")))
     }
 

@@ -62,5 +62,5 @@ pub use cache::{CacheStats, ShardedCache};
 pub use chaosnet::{scheduled_fault, ChaosNetConfig, ChaosProxy, FaultEvent, NetFault};
 pub use client::{Client, ResilienceStats, ResilientClient, RetryPolicy};
 pub use dist::{DistParams, HttpShardSource, ShardOp, ShardQuery, ShardRpcError};
-pub use server::{spawn, ServeConfig, ServerHandle};
+pub use server::{spawn, ServeConfig, ServerHandle, Stat};
 pub use state::{ScenarioStore, WarmPool};

@@ -39,9 +39,11 @@
 //! whose requests are ready but would push [`pubopt_sched::Pool::queued_jobs`]
 //! past `queue_depth` first falls back to *degraded mode* — queries whose
 //! canonical key is already cached are answered straight from the
-//! reactor, marked `Degraded: stale` — and only cache misses are shed
-//! `429 Too Many Requests` (with `Retry-After`) and closed: explicit,
-//! cheap shedding instead of unbounded queueing. A connection cap
+//! reactor, marked `Degraded: stale`; requests other than `POST`
+//! (`/healthz`, `/v1/stats`) never solve and are answered as usual —
+//! and only cache misses are shed `429 Too Many Requests` (with
+//! `Retry-After`) and closed: explicit, cheap shedding instead of
+//! unbounded queueing. A connection cap
 //! (`max_connections`) bounds the reactor table the same way. Clients
 //! can also bound their own wait with an `X-Deadline-Ms` header; a
 //! request whose budget expired in the queue is answered `504` without
@@ -205,6 +207,106 @@ enum Sweep {
     Close,
 }
 
+/// One daemon counter. The variants index the daemon's only counter
+/// table, which `/v1/stats` renders in [`Stat::ALL`] order under
+/// [`Stat::key`] and [`ServerHandle::stat`] reads. Every counter is
+/// always on, whatever features the build enables.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stat {
+    /// Requests a worker answered, whatever the status (a solve's `500`
+    /// after a worker panic and a deadline's `504` included), plus those
+    /// answered in degraded mode: cache hits and requests other than
+    /// `POST`. Each is counted after its body is rendered, before it is
+    /// written. Not counted: `429` sheds, `400`s for bytes that do not
+    /// parse as HTTP, `408` read timeouts, and the supervisor's
+    /// last-gasp `500`.
+    Requests,
+    /// Work refused under load: a `POST` answered `429` because the
+    /// queue was full and its query was not cached; a connection
+    /// accepted past `max_connections` (its first request is answered
+    /// `429`); and a connection closed with no response because the
+    /// table already held 2 × `max_connections`.
+    Shed,
+    /// Single queries, batch entries and shard aggregates whose solve
+    /// panicked inside per-request isolation and was answered `500`.
+    WorkerPanics,
+    /// Connections the reactor accepted, shed ones included.
+    ConnectionsAccepted,
+    /// Requests counted under [`Stat::Requests`] by a worker that were
+    /// not the first response on their connection.
+    KeepaliveReuses,
+    /// Connections closed by the read timeout (answered `408`) or the
+    /// idle timeout (closed silently).
+    ConnectionTimeouts,
+    /// `/v1/batch` requests whose body parsed, whatever their entry count.
+    Batches,
+    /// Requests answered `504` because their `X-Deadline-Ms` budget
+    /// expired before a worker reached them.
+    DeadlineShed,
+    /// Cache hits answered from the reactor with `Degraded: stale`
+    /// while the queue was full.
+    DegradedServed,
+    /// Serve jobs that panicked outside per-request isolation, caught by
+    /// the supervisor in `dispatch` (the worker slot returns to service).
+    WorkerRespawns,
+    /// Response writes, by a worker or the degraded-mode reactor,
+    /// abandoned because the write-timeout budget expired.
+    WriteTimeouts,
+    /// `/v1/dist/solve` requests that passed validation and started a
+    /// coordinated solve.
+    DistSolves,
+    /// Shard RPCs issued by coordinated solves, failed ones included and
+    /// retries not.
+    ShardRpcs,
+    /// `/v1/shard/aggregate` queries that parsed, cache hits included.
+    ShardQueries,
+    /// `/v1/whatif` co-simulations, single or batched, that a worker ran
+    /// to a `200` (cache hits excluded).
+    WhatifSolves,
+}
+
+impl Stat {
+    /// Every counter, in `/v1/stats` order.
+    pub const ALL: [Stat; 15] = [
+        Stat::Requests,
+        Stat::Shed,
+        Stat::WorkerPanics,
+        Stat::ConnectionsAccepted,
+        Stat::KeepaliveReuses,
+        Stat::ConnectionTimeouts,
+        Stat::Batches,
+        Stat::DeadlineShed,
+        Stat::DegradedServed,
+        Stat::WorkerRespawns,
+        Stat::WriteTimeouts,
+        Stat::DistSolves,
+        Stat::ShardRpcs,
+        Stat::ShardQueries,
+        Stat::WhatifSolves,
+    ];
+
+    /// The counter's `/v1/stats` key.
+    pub fn key(self) -> &'static str {
+        match self {
+            Stat::Requests => "requests",
+            Stat::Shed => "shed",
+            Stat::WorkerPanics => "worker_panics",
+            Stat::ConnectionsAccepted => "connections_accepted",
+            Stat::KeepaliveReuses => "keepalive_reuses",
+            Stat::ConnectionTimeouts => "connection_timeouts",
+            Stat::Batches => "batches",
+            Stat::DeadlineShed => "deadline_shed",
+            Stat::DegradedServed => "degraded_served",
+            Stat::WorkerRespawns => "worker_respawns",
+            Stat::WriteTimeouts => "write_timeouts",
+            Stat::DistSolves => "dist_solves",
+            Stat::ShardRpcs => "shard_rpcs",
+            Stat::ShardQueries => "shard_queries",
+            Stat::WhatifSolves => "whatif_solves",
+        }
+    }
+}
+
 /// Shared daemon state.
 struct Inner {
     cache: ShardedCache,
@@ -216,34 +318,12 @@ struct Inner {
     queue_depth: usize,
     max_pipeline: usize,
     shutdown: AtomicBool,
-    requests: AtomicU64,
-    shed: AtomicU64,
-    panics: AtomicU64,
+    /// The counter table, indexed by [`Stat`].
+    stats: [AtomicU64; Stat::ALL.len()],
+    /// Solved-request sequence number: the chaos injector's clock.
     seq: AtomicU64,
-    accepted: AtomicU64,
-    reused: AtomicU64,
-    timeouts: AtomicU64,
-    batches: AtomicU64,
-    /// Requests rejected `504` because their `X-Deadline-Ms` budget had
-    /// already expired before a worker got to solve them.
-    deadline_shed: AtomicU64,
-    /// Cache hits served with `Degraded: stale` while the queue was full.
-    degraded: AtomicU64,
-    /// Serve jobs that crashed outside per-request isolation and were
-    /// caught by the supervisor (the worker slot returns to service).
-    respawns: AtomicU64,
-    /// Response writes abandoned on the write-timeout budget.
-    write_timeouts: AtomicU64,
     /// Shard registry for `/v1/dist/solve` (empty on plain daemons).
     shards: Vec<SocketAddr>,
-    /// Distributed solves coordinated by this daemon.
-    dist_solves: AtomicU64,
-    /// Shard RPCs issued while coordinating (retries not included).
-    shard_rpcs: AtomicU64,
-    /// Cold `/v1/whatif` co-simulations executed (cache hits excluded).
-    whatif_solves: AtomicU64,
-    /// Partial-aggregate queries answered as a shard.
-    shard_queries: AtomicU64,
     chaos: Option<ChaosInjector>,
     workers: usize,
     /// Budget for any single response write (worker or reactor).
@@ -252,6 +332,20 @@ struct Inner {
     /// reactor here. Senders are cloned per job; when the reactor exits
     /// the sends fail and the connections drop closed.
     back_tx: Mutex<Sender<Conn>>,
+}
+
+impl Inner {
+    fn add(&self, stat: Stat, n: u64) {
+        self.stats[stat as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
+    fn bump(&self, stat: Stat) {
+        self.add(stat, 1);
+    }
+
+    fn stat(&self, stat: Stat) -> u64 {
+        self.stats[stat as usize].load(Ordering::Relaxed)
+    }
 }
 
 /// A running daemon. Dropping the handle does *not* stop the server; call
@@ -283,23 +377,9 @@ pub fn spawn(config: &ServeConfig) -> io::Result<ServerHandle> {
         queue_depth: config.queue_depth.max(1),
         max_pipeline: config.max_pipeline.max(1),
         shutdown: AtomicBool::new(false),
-        requests: AtomicU64::new(0),
-        shed: AtomicU64::new(0),
-        panics: AtomicU64::new(0),
+        stats: Default::default(),
         seq: AtomicU64::new(0),
-        accepted: AtomicU64::new(0),
-        reused: AtomicU64::new(0),
-        timeouts: AtomicU64::new(0),
-        batches: AtomicU64::new(0),
-        deadline_shed: AtomicU64::new(0),
-        degraded: AtomicU64::new(0),
-        respawns: AtomicU64::new(0),
-        write_timeouts: AtomicU64::new(0),
         shards,
-        dist_solves: AtomicU64::new(0),
-        shard_rpcs: AtomicU64::new(0),
-        whatif_solves: AtomicU64::new(0),
-        shard_queries: AtomicU64::new(0),
         chaos: config.chaos.map(ChaosInjector::new),
         workers,
         write_timeout: Duration::from_millis(config.write_timeout_ms.max(1)),
@@ -334,62 +414,9 @@ impl ServerHandle {
         self.inner.cache.stats()
     }
 
-    /// Requests fully served (any status except shed `429`s).
-    pub fn requests_served(&self) -> u64 {
-        self.inner.requests.load(Ordering::Relaxed)
-    }
-
-    /// Connections shed with `429`.
-    pub fn requests_shed(&self) -> u64 {
-        self.inner.shed.load(Ordering::Relaxed)
-    }
-
-    /// Worker panics survived (each answered `500`).
-    pub fn panics_survived(&self) -> u64 {
-        self.inner.panics.load(Ordering::Relaxed)
-    }
-
-    /// Connections accepted over the daemon's lifetime.
-    pub fn connections_accepted(&self) -> u64 {
-        self.inner.accepted.load(Ordering::Relaxed)
-    }
-
-    /// Requests served on an already-used (kept-alive) connection.
-    pub fn keepalive_reuses(&self) -> u64 {
-        self.inner.reused.load(Ordering::Relaxed)
-    }
-
-    /// Connections closed by the read/idle timeout policy.
-    pub fn connection_timeouts(&self) -> u64 {
-        self.inner.timeouts.load(Ordering::Relaxed)
-    }
-
-    /// Requests rejected `504` because their declared deadline expired
-    /// before a worker reached them.
-    pub fn deadline_shed(&self) -> u64 {
-        self.inner.deadline_shed.load(Ordering::Relaxed)
-    }
-
-    /// Cache hits served stale (with `Degraded: stale`) while the worker
-    /// queue was saturated.
-    pub fn degraded_served(&self) -> u64 {
-        self.inner.degraded.load(Ordering::Relaxed)
-    }
-
-    /// Serve jobs that crashed outside per-request isolation and were
-    /// respawned by the supervisor.
-    pub fn workers_respawned(&self) -> u64 {
-        self.inner.respawns.load(Ordering::Relaxed)
-    }
-
-    /// Response writes abandoned on the write-timeout budget.
-    pub fn write_timeouts(&self) -> u64 {
-        self.inner.write_timeouts.load(Ordering::Relaxed)
-    }
-
-    /// Cold `/v1/whatif` co-simulations executed (cache hits excluded).
-    pub fn whatif_solves(&self) -> u64 {
-        self.inner.whatif_solves.load(Ordering::Relaxed)
+    /// The current value of one counter, as `/v1/stats` reports it.
+    pub fn stat(&self, stat: Stat) -> u64 {
+        self.inner.stat(stat)
     }
 
     /// Ask the daemon to stop: the reactor closes its table and exits,
@@ -435,7 +462,7 @@ fn reactor_loop(
             match listener.accept() {
                 Ok((stream, _)) => {
                     progressed = true;
-                    inner.accepted.fetch_add(1, Ordering::Relaxed);
+                    inner.bump(Stat::ConnectionsAccepted);
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
@@ -446,13 +473,11 @@ fn reactor_loop(
                     if conns.len() >= 2 * max_connections {
                         // Grace table exhausted too: hard-close. At this
                         // accept rate a reset is the honest signal.
-                        inner.shed.fetch_add(1, Ordering::Relaxed);
-                        pubopt_obs::incr("serve.shed");
+                        inner.bump(Stat::Shed);
                         continue;
                     }
                     if conns.len() >= max_connections {
-                        inner.shed.fetch_add(1, Ordering::Relaxed);
-                        pubopt_obs::incr("serve.shed");
+                        inner.bump(Stat::Shed);
                         conn.reject = true;
                     }
                     conns.push(conn);
@@ -576,8 +601,7 @@ fn sweep_conn(
             // idle budget.
             if let Some(started) = conn.request_started {
                 if started.elapsed() >= read_timeout {
-                    inner.timeouts.fetch_add(1, Ordering::Relaxed);
-                    pubopt_obs::incr("serve.conn_timeouts");
+                    inner.bump(Stat::ConnectionTimeouts);
                     let _ = write_response(
                         &mut conn.stream,
                         408,
@@ -587,8 +611,7 @@ fn sweep_conn(
                     return Sweep::Close;
                 }
             } else if conn.idle_since.elapsed() >= idle_timeout {
-                inner.timeouts.fetch_add(1, Ordering::Relaxed);
-                pubopt_obs::incr("serve.conn_timeouts");
+                inner.bump(Stat::ConnectionTimeouts);
                 return Sweep::Close;
             }
             Sweep::Keep
@@ -618,12 +641,10 @@ fn sweep_conn(
 fn dispatch(inner: &Arc<Inner>, mut conn: Conn, reqs: Vec<Request>) {
     // Only the reactor enqueues, so the depth check cannot race upward
     // past the bound.
-    let backlog = inner.pool.queued_jobs();
-    if backlog >= inner.queue_depth {
+    if inner.pool.queued_jobs() >= inner.queue_depth {
         serve_degraded(inner, &mut conn, &reqs);
         return;
     }
-    pubopt_obs::observe("serve.queue_depth", backlog as u64 + 1);
     let batch_started = Instant::now();
     let job_inner = Arc::clone(inner);
     inner.pool.spawn_job(move || {
@@ -639,8 +660,7 @@ fn dispatch(inner: &Arc<Inner>, mut conn: Conn, reqs: Vec<Request>) {
         }))
         .is_err();
         if crashed {
-            job_inner.respawns.fetch_add(1, Ordering::Relaxed);
-            pubopt_obs::incr("serve.worker_respawns");
+            job_inner.bump(Stat::WorkerRespawns);
             if let Some(mut stream) = spare {
                 let _ = stream.set_nonblocking(false);
                 let _ = stream.set_write_timeout(Some(job_inner.write_timeout));
@@ -655,9 +675,10 @@ fn dispatch(inner: &Arc<Inner>, mut conn: Conn, reqs: Vec<Request>) {
     });
 }
 
-/// Queue-saturated service: answer cached queries stale, shed the rest.
-/// Runs on the reactor thread — every response here is a cache lookup
-/// plus one bounded write, never a solve.
+/// Queue-saturated service: answer cached queries stale and every
+/// non-`POST` as usual, shed the rest. Runs on the reactor thread —
+/// every response here is a cache lookup or a `respond` that never
+/// solves, plus one bounded write.
 fn serve_degraded(inner: &Inner, conn: &mut Conn, reqs: &[Request]) {
     // The reactor's sockets are nonblocking; bound the writes instead of
     // letting a slow reader wedge the reactor.
@@ -666,36 +687,34 @@ fn serve_degraded(inner: &Inner, conn: &mut Conn, reqs: &[Request]) {
     let last = reqs.len() - 1;
     for (i, req) in reqs.iter().enumerate() {
         let keep = i < last;
-        let cached = match (req.method.as_str(), req.path.as_str()) {
-            ("POST", path) => ApiRequest::parse(path, &req.body)
-                .ok()
-                .and_then(|api| inner.cache.get(&api.canonical_key())),
-            _ => None,
-        };
-        let wrote = match cached {
-            Some(body) => {
-                inner.degraded.fetch_add(1, Ordering::Relaxed);
-                inner.requests.fetch_add(1, Ordering::Relaxed);
-                pubopt_obs::incr("serve.degraded");
-                write_response_ext(
-                    &mut conn.stream,
-                    200,
-                    &body,
-                    keep,
-                    &[("Degraded", "stale".to_owned())],
-                )
-            }
-            None => {
-                inner.shed.fetch_add(1, Ordering::Relaxed);
-                pubopt_obs::incr("serve.shed");
-                write_response_ext(
-                    &mut conn.stream,
-                    429,
-                    "{\"error\":\"queue full, retry later\"}",
-                    keep,
-                    &retry_after(),
-                )
-            }
+        let wrote = if req.method != "POST" {
+            // `/healthz` and `/v1/stats` must stay readable exactly when
+            // the daemon is overloaded.
+            let (status, body) = respond(inner, req);
+            inner.bump(Stat::Requests);
+            write_response(&mut conn.stream, status, &body, keep)
+        } else if let Some(body) = ApiRequest::parse(&req.path, &req.body)
+            .ok()
+            .and_then(|api| inner.cache.get(&api.canonical_key()))
+        {
+            inner.bump(Stat::DegradedServed);
+            inner.bump(Stat::Requests);
+            write_response_ext(
+                &mut conn.stream,
+                200,
+                &body,
+                keep,
+                &[("Degraded", "stale".to_owned())],
+            )
+        } else {
+            inner.bump(Stat::Shed);
+            write_response_ext(
+                &mut conn.stream,
+                429,
+                "{\"error\":\"queue full, retry later\"}",
+                keep,
+                &retry_after(),
+            )
         };
         if let Err(e) = wrote {
             count_write_timeout(inner, &e);
@@ -714,8 +733,7 @@ fn count_write_timeout(inner: &Inner, e: &io::Error) {
         e.kind(),
         io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
     ) {
-        inner.write_timeouts.fetch_add(1, Ordering::Relaxed);
-        pubopt_obs::incr("serve.write_timeouts");
+        inner.bump(Stat::WriteTimeouts);
     }
 }
 
@@ -741,15 +759,13 @@ fn handle_requests(
     let _ = conn.stream.set_write_timeout(Some(inner.write_timeout));
     loop {
         for req in reqs.drain(..) {
-            let started = Instant::now();
             let shutting = inner.shutdown.load(Ordering::SeqCst);
             let keep = req.keep_alive && !conn.peer_closed && !shutting;
             let expired = req
                 .deadline_ms
                 .is_some_and(|d| batch_started.elapsed() >= Duration::from_millis(d));
             let (status, body) = if expired {
-                inner.deadline_shed.fetch_add(1, Ordering::Relaxed);
-                pubopt_obs::incr("serve.deadline_shed");
+                inner.bump(Stat::DeadlineShed);
                 (
                     504,
                     "{\"error\":\"deadline expired before solving\"}".to_owned(),
@@ -757,13 +773,10 @@ fn handle_requests(
             } else {
                 respond(inner, &req)
             };
-            inner.requests.fetch_add(1, Ordering::Relaxed);
+            inner.bump(Stat::Requests);
             if conn.served > 0 {
-                inner.reused.fetch_add(1, Ordering::Relaxed);
-                pubopt_obs::incr("serve.keepalive_reuses");
+                inner.bump(Stat::KeepaliveReuses);
             }
-            pubopt_obs::incr("serve.requests");
-            pubopt_obs::observe("serve.latency_us", started.elapsed().as_micros() as u64);
             // Re-check shutdown after the solve: /v1/shutdown must close
             // its own connection.
             let keep = keep && !inner.shutdown.load(Ordering::SeqCst);
@@ -852,8 +865,7 @@ fn serve_batch(inner: &Inner, body: &str) -> (u16, String) {
         Ok(q) => q,
         Err(e) => return (e.status, e.body()),
     };
-    inner.batches.fetch_add(1, Ordering::Relaxed);
-    pubopt_obs::incr("serve.batches");
+    inner.bump(Stat::Batches);
     let mut parts = Vec::with_capacity(queries.len());
     let mut ok = 0usize;
     for q in &queries {
@@ -911,8 +923,7 @@ fn serve_shard_aggregate(inner: &Inner, body: &str) -> (u16, String) {
         Ok(q) => q,
         Err(e) => return (e.status, e.body()),
     };
-    inner.shard_queries.fetch_add(1, Ordering::Relaxed);
-    pubopt_obs::incr("serve.shard_queries");
+    inner.bump(Stat::ShardQueries);
     let key = query.canonical_key();
     if let Some(body) = inner.cache.get(&key) {
         return (200, (*body).clone());
@@ -935,8 +946,7 @@ fn serve_shard_aggregate(inner: &Inner, body: &str) -> (u16, String) {
             (200, body)
         }
         Err(_) => {
-            inner.panics.fetch_add(1, Ordering::Relaxed);
-            pubopt_obs::incr("serve.worker_panics");
+            inner.bump(Stat::WorkerPanics);
             (
                 500,
                 "{\"error\":\"worker panicked; request not served\"}".to_owned(),
@@ -969,15 +979,14 @@ fn serve_dist_solve(inner: &Inner, body: &str) -> (u16, String) {
         let e = crate::api::ApiError::bad("include_profile is limited to n <= 10000");
         return (e.status, e.body());
     }
-    inner.dist_solves.fetch_add(1, Ordering::Relaxed);
-    pubopt_obs::incr("serve.dist_solves");
+    inner.bump(Stat::DistSolves);
     let mut source = HttpShardSource::new(params.scenario, params.n, &inner.shards);
     let solved = pubopt_eq::solve_maxmin_with_source(
         &mut source,
         params.nu,
         pubopt_num::Tolerance::default(),
     );
-    inner.shard_rpcs.fetch_add(source.rpcs(), Ordering::Relaxed);
+    inner.add(Stat::ShardRpcs, source.rpcs());
     match solved {
         Ok((eq, stats)) => {
             let mut fields = vec![
@@ -1047,16 +1056,14 @@ fn serve_query(inner: &Inner, api: &ApiRequest) -> (u16, String) {
     match solved {
         Ok(Ok(body)) => {
             if api.endpoint() == "whatif" {
-                inner.whatif_solves.fetch_add(1, Ordering::Relaxed);
-                pubopt_obs::incr("serve.whatif_solves");
+                inner.bump(Stat::WhatifSolves);
             }
             inner.cache.insert(&key, Arc::new(body.clone()));
             (200, body)
         }
         Ok(Err(e)) => (e.status, e.body()),
         Err(_) => {
-            inner.panics.fetch_add(1, Ordering::Relaxed);
-            pubopt_obs::incr("serve.worker_panics");
+            inner.bump(Stat::WorkerPanics);
             (
                 500,
                 "{\"error\":\"worker panicked; request not served\"}".to_owned(),
@@ -1065,78 +1072,23 @@ fn serve_query(inner: &Inner, api: &ApiRequest) -> (u16, String) {
     }
 }
 
+/// `/v1/stats`: the counter table, then the cache counters and gauges.
 fn stats_body(inner: &Inner) -> String {
     let cache = inner.cache.stats();
-    let queue_len = inner.pool.queued_jobs();
-    Value::Object(vec![
-        ("schema".into(), Value::from("pubopt-serve/v1")),
-        (
-            "requests".into(),
-            Value::from(inner.requests.load(Ordering::Relaxed)),
-        ),
-        (
-            "shed".into(),
-            Value::from(inner.shed.load(Ordering::Relaxed)),
-        ),
-        (
-            "worker_panics".into(),
-            Value::from(inner.panics.load(Ordering::Relaxed)),
-        ),
+    let mut fields = vec![("schema".into(), Value::from("pubopt-serve/v1"))];
+    fields.extend(
+        Stat::ALL
+            .iter()
+            .map(|&s| (s.key().into(), Value::from(inner.stat(s)))),
+    );
+    fields.extend([
         ("cache_hits".into(), Value::from(cache.hits)),
         ("cache_misses".into(), Value::from(cache.misses)),
         ("cache_evictions".into(), Value::from(cache.evictions)),
         ("cache_entries".into(), Value::from(cache.entries)),
-        ("queue_depth".into(), Value::from(queue_len)),
+        ("queue_depth".into(), Value::from(inner.pool.queued_jobs())),
         ("workers".into(), Value::from(inner.workers)),
-        (
-            "connections_accepted".into(),
-            Value::from(inner.accepted.load(Ordering::Relaxed)),
-        ),
-        (
-            "keepalive_reuses".into(),
-            Value::from(inner.reused.load(Ordering::Relaxed)),
-        ),
-        (
-            "connection_timeouts".into(),
-            Value::from(inner.timeouts.load(Ordering::Relaxed)),
-        ),
-        (
-            "batches".into(),
-            Value::from(inner.batches.load(Ordering::Relaxed)),
-        ),
-        (
-            "deadline_shed".into(),
-            Value::from(inner.deadline_shed.load(Ordering::Relaxed)),
-        ),
-        (
-            "degraded_served".into(),
-            Value::from(inner.degraded.load(Ordering::Relaxed)),
-        ),
-        (
-            "worker_respawns".into(),
-            Value::from(inner.respawns.load(Ordering::Relaxed)),
-        ),
-        (
-            "write_timeouts".into(),
-            Value::from(inner.write_timeouts.load(Ordering::Relaxed)),
-        ),
         ("shards_registered".into(), Value::from(inner.shards.len())),
-        (
-            "dist_solves".into(),
-            Value::from(inner.dist_solves.load(Ordering::Relaxed)),
-        ),
-        (
-            "shard_rpcs".into(),
-            Value::from(inner.shard_rpcs.load(Ordering::Relaxed)),
-        ),
-        (
-            "shard_queries".into(),
-            Value::from(inner.shard_queries.load(Ordering::Relaxed)),
-        ),
-        (
-            "whatif_solves".into(),
-            Value::from(inner.whatif_solves.load(Ordering::Relaxed)),
-        ),
         (
             "scenarios_resident".into(),
             Value::from(inner.scenarios.resident()),
@@ -1145,8 +1097,8 @@ fn stats_body(inner: &Inner) -> String {
             "warm_entries".into(),
             Value::from(inner.warm.resident_entries()),
         ),
-    ])
-    .to_string()
+    ]);
+    Value::Object(fields).to_string()
 }
 
 #[cfg(test)]

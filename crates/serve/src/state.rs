@@ -16,15 +16,17 @@
 //!   response bytes ever depending on request history.
 //!
 //! Entries are wrapped in per-entry mutexes: the pool lock is held only
-//! for lookup/insert, so a long solve on one scenario never blocks
-//! another scenario's requests.
+//! to find an entry's slot, never for its build or a solve, so a long
+//! cache build or solve on one scenario never blocks another scenario's
+//! requests.
 
 use pubopt_core::GameWarmStart;
 use pubopt_demand::Population;
 use pubopt_eq::{SweepCache, WarmStart};
 use pubopt_workload::{Scenario, ScenarioKind};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::hash::Hash;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Hard cap on resident populations; at the default request limits the
 /// largest entry is a ~2M-CP ensemble, so a handful is all a workload
@@ -79,9 +81,36 @@ pub struct EqWarmEntry {
     pub warm: WarmStart,
 }
 
+/// A warm entry, built at most once. The map lock covers only finding
+/// the slot; the build runs under the slot's `OnceLock`, so callers for
+/// the same key wait on the slot, and callers for other keys, and
+/// `/v1/stats`, never wait on a build.
+type Slot<V> = Arc<OnceLock<Arc<Mutex<V>>>>;
+
 /// Keyed registry of shared warm entries: one lock for the map, one per
 /// entry for the solve.
-type EntryMap<K, V> = Mutex<HashMap<K, Arc<Mutex<V>>>>;
+type EntryMap<K, V> = Mutex<HashMap<K, Slot<V>>>;
+
+/// The entry for `key`, built by `build` on first use.
+fn get_or_build<K: Eq + Hash, V>(
+    map: &EntryMap<K, V>,
+    key: K,
+    build: impl FnOnce() -> V,
+) -> Arc<Mutex<V>> {
+    let slot = Arc::clone(
+        map.lock()
+            .expect("warm pool poisoned")
+            .entry(key)
+            .or_default(),
+    );
+    Arc::clone(slot.get_or_init(|| Arc::new(Mutex::new(build()))))
+}
+
+/// Entries of `map` whose build has finished.
+fn built<K, V>(map: &EntryMap<K, V>) -> usize {
+    let map = map.lock().expect("warm pool poisoned");
+    map.values().filter(|slot| slot.get().is_some()).count()
+}
 
 /// Cross-request warm solver state.
 #[derive(Debug, Default)]
@@ -98,20 +127,16 @@ impl WarmPool {
         n: usize,
         pop: &Population,
     ) -> Arc<Mutex<EqWarmEntry>> {
-        let mut eq = self.eq.lock().expect("warm pool poisoned");
-        Arc::clone(eq.entry((kind, n)).or_insert_with(|| {
-            Arc::new(Mutex::new(EqWarmEntry {
-                cache: SweepCache::new(pop),
-                warm: WarmStart::COLD,
-            }))
-        }))
+        get_or_build(&self.eq, (kind, n), || EqWarmEntry {
+            cache: SweepCache::new(pop),
+            warm: WarmStart::COLD,
+        })
     }
 
     /// Number of resident warm entries across both maps (equilibrium and
-    /// game), for `/v1/stats`.
+    /// game), for `/v1/stats`. An entry still being built is not counted.
     pub fn resident_entries(&self) -> usize {
-        self.eq.lock().expect("warm pool poisoned").len()
-            + self.game.lock().expect("warm pool poisoned").len()
+        built(&self.eq) + built(&self.game)
     }
 
     /// The strategy-game warm start for `(kind, n, κ)`, built cold on
@@ -125,11 +150,7 @@ impl WarmPool {
         n: usize,
         kappa: f64,
     ) -> Arc<Mutex<GameWarmStart>> {
-        let mut game = self.game.lock().expect("warm pool poisoned");
-        Arc::clone(
-            game.entry((kind, n, kappa.to_bits()))
-                .or_insert_with(|| Arc::new(Mutex::new(GameWarmStart::new()))),
-        )
+        get_or_build(&self.game, (kind, n, kappa.to_bits()), GameWarmStart::new)
     }
 }
 
@@ -173,5 +194,6 @@ mod tests {
             !Arc::ptr_eq(&g1, &g3),
             "distinct κ gets distinct warm state"
         );
+        assert_eq!(pool.resident_entries(), 3);
     }
 }

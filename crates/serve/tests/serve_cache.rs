@@ -2,7 +2,7 @@
 //! warm-vs-cold byte-identity, backpressure, and chaos survival.
 
 use pubopt_num::chaos::ChaosConfig;
-use pubopt_serve::{client, spawn, ServeConfig};
+use pubopt_serve::{client, spawn, ServeConfig, Stat};
 use std::io::Write;
 use std::net::TcpStream;
 
@@ -161,7 +161,7 @@ fn chaos_panics_never_drop_the_listener() {
         }
     }
     assert!(failed > 0, "panic_rate 0.4 over 30 requests must fire");
-    assert_eq!(server.panics_survived(), failed);
+    assert_eq!(server.stat(Stat::WorkerPanics), failed);
     let (status, _) = client::get(addr, "/healthz").unwrap();
     assert_eq!(status, 200, "listener must survive worker panics");
     server.shutdown();
@@ -189,7 +189,7 @@ fn stalled_connections_never_occupy_the_worker() {
             client::post(addr, "/v1/equilibrium", &eq_body(1.0 + i as f64)).unwrap();
         assert_eq!(status, 200, "request {i} behind 8 stalled conns: {body}");
     }
-    assert_eq!(server.requests_shed(), 0);
+    assert_eq!(server.stat(Stat::Shed), 0);
     drop(parked);
     server.shutdown();
     server.join();
@@ -218,13 +218,14 @@ fn connection_cap_sheds_with_429() {
         Some(1),
         "a connection-cap 429 must carry Retry-After"
     );
-    assert!(server.requests_shed() >= 1);
+    assert!(server.stat(Stat::Shed) >= 1);
     drop(parked);
     server.shutdown();
     server.join();
 }
 
-/// `/v1/stats` exposes the counters the CI smoke job asserts on.
+/// `/v1/stats` renders exactly its 25 keys, and every counter of the
+/// [`Stat`] table agrees with the handle.
 #[test]
 fn stats_endpoint_reports_cache_counters() {
     let server = spawn(&config()).unwrap();
@@ -233,12 +234,70 @@ fn stats_endpoint_reports_cache_counters() {
         let (s, _) = client::post(addr, "/v1/equilibrium", &eq_body(1.5)).unwrap();
         assert_eq!(s, 200);
     }
+    let batch = r#"{"queries":[{"endpoint":"equilibrium","scenario":"trio","n":3,"nu":1.5}]}"#;
+    assert_eq!(client::post(addr, "/v1/batch", batch).unwrap().0, 200);
+    // A cold what-if, then its cached repeat.
+    let whatif = r#"{"scenario":"trio","n":3,"nu":0.5,"kappa":0.0,"flows":300}"#;
+    for _ in 0..2 {
+        let (s, body) = client::post(addr, "/v1/whatif", whatif).unwrap();
+        assert_eq!(s, 200, "{body}");
+    }
     let (status, body) = client::get(addr, "/v1/stats").unwrap();
     assert_eq!(status, 200);
     let v = pubopt_obs::json::parse(&body).unwrap();
-    assert_eq!(v["cache_hits"].as_u64(), Some(1));
-    assert_eq!(v["cache_misses"].as_u64(), Some(1));
-    assert!(v["requests"].as_u64().unwrap() >= 2);
+
+    let mut keys: Vec<&str> = v
+        .as_object()
+        .unwrap()
+        .iter()
+        .map(|(k, _)| k.as_str())
+        .collect();
+    let mut want: Vec<&str> = Stat::ALL.iter().map(|s| s.key()).collect();
+    want.extend([
+        "schema",
+        "cache_hits",
+        "cache_misses",
+        "cache_evictions",
+        "cache_entries",
+        "queue_depth",
+        "workers",
+        "shards_registered",
+        "scenarios_resident",
+        "warm_entries",
+    ]);
+    keys.sort_unstable();
+    want.sort_unstable();
+    assert_eq!(keys, want, "{body}");
+    assert_eq!(keys.len(), 25);
+
+    for s in Stat::ALL {
+        // The stats request itself is counted after its body is rendered.
+        let pending = u64::from(s == Stat::Requests);
+        assert_eq!(
+            v[s.key()].as_u64().map(|n| n + pending),
+            Some(server.stat(s)),
+            "{}: {body}",
+            s.key()
+        );
+    }
+    assert_eq!(v["requests"].as_u64(), Some(5));
+    assert_eq!(v["batches"].as_u64(), Some(1));
+    assert_eq!(v["whatif_solves"].as_u64(), Some(1));
+    assert_eq!(v["cache_hits"].as_u64(), Some(3));
+    assert_eq!(v["cache_misses"].as_u64(), Some(2));
+    // Gauges: one trio population, one equilibrium and one game warm
+    // entry, and nothing queued behind the stats request itself.
+    for (key, want) in [
+        ("cache_evictions", 0),
+        ("cache_entries", 2),
+        ("queue_depth", 0),
+        ("workers", 2),
+        ("shards_registered", 0),
+        ("scenarios_resident", 1),
+        ("warm_entries", 2),
+    ] {
+        assert_eq!(v[key].as_u64(), Some(want), "{key}: {body}");
+    }
     server.shutdown();
     server.join();
 }

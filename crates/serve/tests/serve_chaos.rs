@@ -6,7 +6,7 @@
 use pubopt_num::chaos::ChaosConfig;
 use pubopt_serve::chaosnet::{scheduled_fault, ChaosNetConfig, ChaosProxy, NetFault};
 use pubopt_serve::client::{CircuitBreaker, ResilientClient, RetryBudget, RetryPolicy};
-use pubopt_serve::{client, client::Client, spawn, ServeConfig};
+use pubopt_serve::{client, client::Client, spawn, ServeConfig, Stat};
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -140,7 +140,7 @@ fn expired_deadlines_are_shed_with_504() {
         .unwrap();
     assert_eq!(status, 504, "{body}");
     assert!(body.contains("deadline"), "{body}");
-    assert_eq!(server.deadline_shed(), 1);
+    assert_eq!(server.stat(Stat::DeadlineShed), 1);
     // Nothing was solved or cached for the shed request.
     assert_eq!(server.cache_stats().misses, 0);
     let (status, _) = c
@@ -218,7 +218,25 @@ fn saturated_queue_serves_cache_hits_degraded() {
     let (status, body) = hit.expect("degraded window never opened");
     assert_eq!(status, 200);
     assert_eq!(body, fresh, "degraded hits must replay the cached bytes");
-    assert!(server.degraded_served() >= 1);
+    assert!(server.stat(Stat::DegradedServed) >= 1);
+
+    // Health and stats reads never solve, so an overloaded daemon still
+    // answers them. A degraded hit sent right after them confirms they
+    // were sent inside the window.
+    let mut reader = Client::new(addr);
+    let (status, health) = reader.get("/healthz").unwrap();
+    assert_eq!(status, 200, "/healthz shed while degraded: {health}");
+    let (status, stats) = reader.get("/v1/stats").unwrap();
+    assert_eq!(status, 200, "/v1/stats shed while degraded: {stats}");
+    let v = pubopt_obs::json::parse(&stats).unwrap();
+    assert!(v["degraded_served"].as_u64() >= Some(1), "{stats}");
+    let mut confirm = Client::new(addr);
+    let (status, _) = confirm.post("/v1/equilibrium", &eq_body(1.0)).unwrap();
+    assert_eq!(status, 200);
+    assert!(
+        confirm.last_degraded(),
+        "the degraded window closed before the reads were checked"
+    );
 
     // A miss in the same window cannot be solved: 429 plus Retry-After.
     let mut miss = Client::new(addr);
@@ -256,7 +274,7 @@ fn crashed_worker_is_respawned_and_counted() {
     let (status, body) = client::post(addr, "/v1/crash", "").unwrap();
     assert_eq!(status, 500, "{body}");
     assert!(body.contains("crashed"), "{body}");
-    assert_eq!(server.workers_respawned(), 1);
+    assert_eq!(server.stat(Stat::WorkerRespawns), 1);
     // The daemon survives and the (sole) worker keeps serving.
     let (status, _) = client::post(addr, "/v1/equilibrium", &eq_body(1.5)).unwrap();
     assert_eq!(status, 200, "daemon must keep serving after a crash");
@@ -274,7 +292,7 @@ fn crash_route_is_absent_without_chaos() {
     let server = spawn(&config()).unwrap();
     let (status, _) = client::post(server.addr(), "/v1/crash", "").unwrap();
     assert_eq!(status, 404);
-    assert_eq!(server.workers_respawned(), 0);
+    assert_eq!(server.stat(Stat::WorkerRespawns), 0);
     server.shutdown();
     server.join();
 }

@@ -7,7 +7,7 @@ use pubopt_num::Tolerance;
 use pubopt_obs::json::{parse, Value};
 use pubopt_serve::chaosnet::{ChaosNetConfig, ChaosProxy};
 use pubopt_serve::dist::{hex_f64, hex_f64s, parse_hex_f64s};
-use pubopt_serve::{client, spawn, ServeConfig, ServerHandle};
+use pubopt_serve::{client, spawn, ServeConfig, ServerHandle, Stat};
 use pubopt_workload::{Scenario, ScenarioKind};
 use std::net::SocketAddr;
 
@@ -112,6 +112,13 @@ fn dist_solve_is_byte_identical_at_2_4_8_shards() {
             let (status, resp) = client::post(coordinator.addr(), "/v1/dist/solve", &body).unwrap();
             assert_eq!(status, 200, "{resp}");
             assert_dist_response_matches(&resp, &want, of);
+            // With no faults, every RPC the coordinator books is one
+            // query some shard books.
+            let rpcs = parse(&resp).unwrap()["shard_rpcs"].as_u64().unwrap();
+            assert_eq!(coordinator.stat(Stat::DistSolves), 1);
+            assert_eq!(coordinator.stat(Stat::ShardRpcs), rpcs);
+            let queries: u64 = shards.iter().map(|s| s.stat(Stat::ShardQueries)).sum();
+            assert_eq!(queries, rpcs, "{of} shards");
             stop(coordinator);
             shards.into_iter().for_each(stop);
         }

@@ -3,7 +3,7 @@
 //! clients, and `/v1/batch` byte-identity with single queries.
 
 use pubopt_obs::json::parse;
-use pubopt_serve::{client, client::Client, spawn, ServeConfig};
+use pubopt_serve::{client, client::Client, spawn, ServeConfig, Stat};
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::time::{Duration, Instant};
@@ -48,9 +48,9 @@ fn keep_alive_reuses_one_connection() {
         bodies.push(body);
     }
     assert!(
-        server.keepalive_reuses() >= 5,
+        server.stat(Stat::KeepaliveReuses) >= 5,
         "6 requests on one connection must register reuses, got {}",
-        server.keepalive_reuses()
+        server.stat(Stat::KeepaliveReuses)
     );
     // Byte-identity with the one-shot (Connection: close) client.
     for (i, expect) in bodies.iter().enumerate() {
@@ -117,7 +117,7 @@ fn slow_loris_is_timed_out_without_occupying_a_worker() {
         assert_eq!(status, 200, "daemon must serve others during the trickle");
     }
     assert!(
-        wait_for(|| server.connection_timeouts(), 1) >= 1,
+        wait_for(|| server.stat(Stat::ConnectionTimeouts), 1) >= 1,
         "trickled request must trip the read timeout"
     );
     // The loris connection is dead: reads drain the 408 (if it beat the
@@ -177,9 +177,9 @@ fn idle_connections_expire_and_clients_reconnect() {
     let mut c = Client::new(addr);
     let (status, _) = c.get("/healthz").unwrap();
     assert_eq!(status, 200);
-    let before = server.connection_timeouts();
+    let before = server.stat(Stat::ConnectionTimeouts);
     assert!(
-        wait_for(|| server.connection_timeouts(), before + 1) > before,
+        wait_for(|| server.stat(Stat::ConnectionTimeouts), before + 1) > before,
         "parked idle connection must expire"
     );
     // The daemon closed our connection; the client must recover.
