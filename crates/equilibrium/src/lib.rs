@@ -39,8 +39,9 @@ pub use solver::{
     SolveStats,
 };
 pub use source::{
-    lambda_block_partials, profile_block_slices, solve_maxmin_with_source, AggregateSource,
-    LocalSource, PartitionedSource, SourceProfile, SourceSolveError,
+    aggregate_block_partials, lambda_block_partials, profile_block_slices,
+    solve_maxmin_with_source, AggregateSource, LocalSource, PartitionedSource, SourceProfile,
+    SourceSolveError,
 };
 pub use surplus::{
     consumer_surplus, consumer_surplus_columnar, per_cp_surplus, per_cp_surplus_columnar_into,

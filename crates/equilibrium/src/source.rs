@@ -45,11 +45,17 @@ use std::convert::Infallible;
 
 /// A full equilibrium profile assembled by an [`AggregateSource`] at a
 /// solved water level.
+///
+/// A source built without slices (`pubopt-serve`'s `HttpShardSource`
+/// unless asked for the profile) leaves `thetas` and `demands` empty;
+/// `aggregate_partials` is always filled.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SourceProfile {
-    /// Achievable throughputs `θ_i = min(θ̂_i, w)` in original CP order.
+    /// Achievable throughputs `θ_i = min(θ̂_i, w)` in original CP order
+    /// (empty from a source built without slices).
     pub thetas: Vec<f64>,
-    /// Equilibrium demands `d_i(θ_i)` in original CP order.
+    /// Equilibrium demands `d_i(θ_i)` in original CP order (empty from a
+    /// source built without slices).
     pub demands: Vec<f64>,
     /// The 64 block partials of the aggregate `Σ α_i d_i θ_i`
     /// ([`pubopt_num::combine_partials`] yields the scalar aggregate).
@@ -86,6 +92,8 @@ pub trait AggregateSource {
 
     /// Assemble the full profile at water level `w` (∞ when uncongested —
     /// `min(θ̂, ∞) = θ̂` exactly, so one code path covers both regimes).
+    /// A source built without slices returns empty θ/d; every source
+    /// returns the aggregate partials.
     fn profile(&mut self, w: f64) -> Result<SourceProfile, Self::Error>;
 }
 
@@ -308,6 +316,24 @@ pub fn profile_block_slices(
     (thetas, demands, aggregate_partials)
 }
 
+/// Shard-side aggregate kernel: the aggregate block partials of
+/// [`profile_block_slices`] for `blocks` at water level `w`, with no
+/// θ/d slices built. Each term keeps the profile kernel's `(α·d)·θ`
+/// grouping, so the partials match it bit for bit — Λ's `α·(d·θ)`
+/// (`lambda_block_partials`) may differ in the last bit.
+pub fn aggregate_block_partials(
+    pop: &Population,
+    w: f64,
+    blocks: std::ops::Range<usize>,
+) -> Vec<f64> {
+    let cps = pop.cps();
+    blocked_partials(cps.len(), blocks, |i| {
+        let cp = &cps[i];
+        let theta = cp.theta_hat.min(w);
+        cp.alpha * cp.demand_at(theta) * theta
+    })
+}
+
 /// The local [`AggregateSource`]: answers every query from a
 /// [`Population`] in this process with the same kernels the shard
 /// daemons use. It is the source behind [`crate::solve_maxmin`] and
@@ -517,6 +543,19 @@ mod tests {
                     );
                     assert_eq!(want.thetas, got.thetas, "shards={shards} nu={nu}");
                     assert_eq!(want.demands, got.demands, "shards={shards} nu={nu}");
+                    // The aggregate-only kernel matches the profile
+                    // kernel's partials at the solved level, shard by shard.
+                    let w = got.water_level.expect("solved level");
+                    let bits = |xs: Vec<f64>| xs.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+                    for s in 0..shards {
+                        let blocks = shard_blocks(s, shards);
+                        let span = shard_span(pop.len(), s, shards);
+                        assert_eq!(
+                            bits(profile_block_slices(pop, w, span, blocks.clone()).2),
+                            bits(aggregate_block_partials(pop, w, blocks)),
+                            "shards={shards} nu={nu} shard {s}: aggregate partials"
+                        );
+                    }
                 }
             }
         }

@@ -244,6 +244,21 @@ pub(crate) fn check_n(n: usize, max: usize) -> Result<usize, ApiError> {
     }
 }
 
+/// The optional `include_profile` flag of an equilibrium-shaped body,
+/// bounded by [`MAX_PROFILE_CPS`] for a population of `n` CPs.
+pub(crate) fn include_profile_of(v: &Value, n: usize) -> Result<bool, ApiError> {
+    let include_profile = v
+        .get("include_profile")
+        .and_then(Value::as_bool)
+        .unwrap_or(false);
+    if include_profile && n > MAX_PROFILE_CPS {
+        return Err(ApiError::bad(format!(
+            "include_profile is limited to n <= {MAX_PROFILE_CPS}"
+        )));
+    }
+    Ok(include_profile)
+}
+
 impl ApiRequest {
     /// Parse and validate a request routed to `path` with JSON `body`.
     ///
@@ -275,15 +290,7 @@ impl ApiRequest {
                 let scenario = scenario_of(v)?;
                 let n = check_n(usize_field(v, "n", 1000)?, MAX_CPS)?;
                 let nu = check_nu(f64_field(v, "nu")?)?;
-                let include_profile = v
-                    .get("include_profile")
-                    .and_then(Value::as_bool)
-                    .unwrap_or(false);
-                if include_profile && n > MAX_PROFILE_CPS {
-                    return Err(ApiError::bad(format!(
-                        "include_profile is limited to n <= {MAX_PROFILE_CPS}"
-                    )));
-                }
+                let include_profile = include_profile_of(v, n)?;
                 Ok(ApiRequest::Equilibrium(EqParams {
                     scenario,
                     n,

@@ -15,20 +15,32 @@
 //! tolerance-close (asserted end to end by `tests/serve_dist.rs`).
 //!
 //! **Protocol.** One POST endpoint on every daemon, `/v1/shard/aggregate`,
-//! takes `{scenario, n, shard, of, op[, w]}` and answers one of three
+//! takes `{scenario, n, shard, of, op[, w]}` and answers one of four
 //! pure queries on the deterministic scenario population:
 //!
 //! * `op: "meta"` — population length, the shard's max `θ̂` (an
 //!   associative fold), and the shard's blocks of the unconstrained
 //!   per-capita total;
 //! * `op: "lambda"` — the shard's blocks of Λ(w) at the probe level `w`;
-//! * `op: "profile"` — the shard's θ/d slices at `w` plus its blocks of
-//!   the aggregate-throughput sum.
+//! * `op: "aggregate"` — the shard's blocks of the aggregate-throughput
+//!   sum at the solved level `w`, and nothing else;
+//! * `op: "profile"` — the shard's θ/d slices at `w` plus the same
+//!   aggregate blocks.
+//!
+//! A solve asks `meta` once, `lambda` per probe, and at the solved level
+//! `aggregate` — or `profile` when the caller asked for θ/d
+//! ([`HttpShardSource::with_profile`]).
 //!
 //! Every float crosses the wire as its IEEE-754 bit pattern in 16 hex
 //! chars (the `canonical_key` convention), vectors as concatenated hex —
 //! decimal formatting would round-trip but re-parsing must be *exact*,
 //! and bit patterns make that non-negotiable by construction.
+//!
+//! **Fan-out.** The coordinator asks every shard each question at once:
+//! its own thread asks shard 0 and a scoped thread asks each other shard,
+//! so a probe costs the slowest shard rather than the sum of them.
+//! Answers are placed into the 64-lane frame by block index, so the order
+//! in which they arrive cannot change a bit.
 //!
 //! **Failure semantics.** Shard RPCs ride [`ResilientClient`]: retries
 //! with seeded-jitter backoff, a retry budget, and per-endpoint circuit
@@ -36,13 +48,20 @@
 //! probe replays the first computation's exact bytes and a chaos-injected
 //! blackhole costs latency, never determinism. A shard that stays dark
 //! past the retry schedule surfaces as a typed
-//! [`SourceSolveError::Source`] carrying the shard index; the
+//! [`pubopt_eq::SourceSolveError::Source`] carrying the shard index —
+//! when several shards fail one question, the lowest index; the
 //! coordinator answers `503` without guessing at partial sums.
 
-use crate::api::{check_n, check_nu, f64_field, scenario_name, scenario_of, usize_field, ApiError};
+use crate::api::{
+    check_n, check_nu, f64_field, include_profile_of, scenario_name, scenario_of, usize_field,
+    ApiError,
+};
 use crate::client::{ResilientClient, RetryPolicy};
 use crate::state::ScenarioStore;
-use pubopt_eq::{lambda_block_partials, profile_block_slices, AggregateSource, SourceProfile};
+use pubopt_eq::{
+    aggregate_block_partials, lambda_block_partials, profile_block_slices, AggregateSource,
+    SourceProfile,
+};
 use pubopt_num::{shard_blocks, shard_span, BLOCK_LANES};
 use pubopt_obs::json::{parse, Value};
 use pubopt_workload::ScenarioKind;
@@ -107,6 +126,8 @@ pub enum ShardOp {
     Meta,
     /// Λ(w) block partials at the probe water level.
     Lambda(f64),
+    /// Aggregate-throughput block partials at the solved level `w`.
+    Aggregate(f64),
     /// θ/d slices plus aggregate-throughput block partials at `w`.
     Profile(f64),
 }
@@ -116,6 +137,7 @@ impl ShardOp {
         match self {
             ShardOp::Meta => "meta",
             ShardOp::Lambda(_) => "lambda",
+            ShardOp::Aggregate(_) => "aggregate",
             ShardOp::Profile(_) => "profile",
         }
     }
@@ -123,7 +145,7 @@ impl ShardOp {
     fn w(self) -> Option<f64> {
         match self {
             ShardOp::Meta => None,
-            ShardOp::Lambda(w) | ShardOp::Profile(w) => Some(w),
+            ShardOp::Lambda(w) | ShardOp::Aggregate(w) | ShardOp::Profile(w) => Some(w),
         }
     }
 }
@@ -170,7 +192,7 @@ impl ShardQuery {
         }
         let op = match v.get("op").and_then(Value::as_str) {
             Some("meta") => ShardOp::Meta,
-            Some(op @ ("lambda" | "profile")) => {
+            Some(op @ ("lambda" | "aggregate" | "profile")) => {
                 let w = v
                     .get("w")
                     .and_then(Value::as_str)
@@ -179,15 +201,15 @@ impl ShardQuery {
                 if w.is_nan() || w < 0.0 {
                     return Err(ApiError::bad("w must be >= 0 (or +inf), not NaN"));
                 }
-                if op == "lambda" {
-                    ShardOp::Lambda(w)
-                } else {
-                    ShardOp::Profile(w)
+                match op {
+                    "lambda" => ShardOp::Lambda(w),
+                    "aggregate" => ShardOp::Aggregate(w),
+                    _ => ShardOp::Profile(w),
                 }
             }
             other => {
                 return Err(ApiError::bad(format!(
-                    "op must be meta | lambda | profile, got {other:?}"
+                    "op must be meta | lambda | aggregate | profile, got {other:?}"
                 )))
             }
         };
@@ -198,6 +220,23 @@ impl ShardQuery {
             of,
             op,
         })
+    }
+
+    /// The query as the JSON body [`ShardQuery::parse`] reads.
+    pub(crate) fn body(&self) -> String {
+        let w = self
+            .op
+            .w()
+            .map(|w| format!(",\"w\":\"{}\"", hex_f64(w)))
+            .unwrap_or_default();
+        format!(
+            "{{\"scenario\":\"{}\",\"n\":{},\"shard\":{},\"of\":{},\"op\":\"{}\"{w}}}",
+            scenario_name(self.scenario),
+            self.n,
+            self.shard,
+            self.of,
+            self.op.name()
+        )
     }
 
     /// Cache key: endpoint, scenario, shard geometry, op, and the probe
@@ -244,6 +283,10 @@ impl ShardQuery {
                 let partials = lambda_block_partials(&pop, w, blocks);
                 fields.push(("partials".into(), Value::from(hex_f64s(&partials))));
             }
+            ShardOp::Aggregate(w) => {
+                let partials = aggregate_block_partials(&pop, w, blocks);
+                fields.push(("partials".into(), Value::from(hex_f64s(&partials))));
+            }
             ShardOp::Profile(w) => {
                 let (thetas, demands, partials) = profile_block_slices(&pop, w, span, blocks);
                 fields.push(("thetas".into(), Value::from(hex_f64s(&thetas))));
@@ -269,8 +312,9 @@ pub struct DistParams {
     pub n: usize,
     /// Per-capita capacity ν ≥ 0.
     pub nu: f64,
-    /// Include full θ/d profiles (bounded populations only), rendered as
-    /// bit-pattern hex so tests can assert them byte-for-byte.
+    /// Include full θ/d profiles (at most 10 000 CPs, the
+    /// `/v1/equilibrium` bound), rendered as bit-pattern hex so tests can
+    /// assert them byte-for-byte.
     pub include_profile: bool,
 }
 
@@ -280,7 +324,8 @@ impl DistParams {
     ///
     /// # Errors
     ///
-    /// `400` for malformed JSON or out-of-range parameters.
+    /// `400` for malformed JSON, out-of-range parameters, or
+    /// `include_profile` above the `/v1/equilibrium` profile bound.
     pub fn parse(body: &str) -> Result<Self, ApiError> {
         let v = if body.trim().is_empty() {
             Value::Object(Vec::new())
@@ -290,10 +335,7 @@ impl DistParams {
         let scenario = scenario_of(&v)?;
         let n = check_n(usize_field(&v, "n", 1000)?, crate::api::MAX_CPS)?;
         let nu = check_nu(f64_field(&v, "nu")?)?;
-        let include_profile = v
-            .get("include_profile")
-            .and_then(Value::as_bool)
-            .unwrap_or(false);
+        let include_profile = include_profile_of(&v, n)?;
         Ok(Self {
             scenario,
             n,
@@ -334,21 +376,25 @@ struct ShardMeta {
 ///
 /// Each registry entry gets its own keep-alive [`ResilientClient`], so a
 /// ~50-probe bisection reuses N connections rather than opening ~50·N.
-/// Block partials come back per shard and are placed into the fixed
-/// 64-lane frame; [`pubopt_eq::solve_maxmin_with_source`] combines them
-/// in block order, which is exactly the single-process reduction.
+/// Every question goes to all shards at once; their block partials are
+/// placed into the fixed 64-lane frame, and
+/// [`pubopt_eq::solve_maxmin_with_source`] combines them in block order,
+/// which is exactly the single-process reduction.
 #[derive(Debug)]
 pub struct HttpShardSource {
     scenario: ScenarioKind,
     n: usize,
     clients: Vec<ResilientClient>,
+    with_profile: bool,
     meta: Option<ShardMeta>,
     rpcs: u64,
 }
 
 impl HttpShardSource {
     /// A source over `shards` registry entries, one resilient client per
-    /// shard.
+    /// shard. At the solved level it fetches only the aggregate partials,
+    /// so [`AggregateSource::profile`] returns empty θ/d; ask for the
+    /// slices with [`with_profile`](Self::with_profile).
     ///
     /// # Panics
     ///
@@ -374,9 +420,17 @@ impl HttpShardSource {
             scenario,
             n,
             clients,
+            with_profile: false,
             meta: None,
             rpcs: 0,
         }
+    }
+
+    /// Also fetch every shard's θ/d slices at the solved level, so
+    /// [`AggregateSource::profile`] returns the full profile.
+    pub fn with_profile(mut self) -> Self {
+        self.with_profile = true;
+        self
     }
 
     /// Shard RPCs issued so far (retries not included — this counts
@@ -389,26 +443,57 @@ impl HttpShardSource {
         self.clients.len()
     }
 
-    /// One shard RPC: post the op, demand a 200, parse the JSON.
-    fn rpc(&mut self, shard: usize, op: &str, w: Option<f64>) -> Result<Value, ShardRpcError> {
-        self.rpcs += 1;
-        let w_field = w
-            .map(|w| format!(",\"w\":\"{}\"", hex_f64(w)))
-            .unwrap_or_default();
-        let body = format!(
-            "{{\"scenario\":\"{}\",\"n\":{},\"shard\":{shard},\"of\":{},\"op\":\"{op}\"{w_field}}}",
-            scenario_name(self.scenario),
-            self.n,
-            self.of(),
-        );
-        let fail = |message: String| ShardRpcError { shard, message };
-        let (status, resp) = self.clients[shard]
-            .post("/v1/shard/aggregate", &body)
-            .map_err(|e| fail(format!("unreachable past retries: {e}")))?;
-        if status != 200 {
-            return Err(fail(format!("answered {status}: {resp}")));
-        }
-        parse(&resp).map_err(|e| fail(format!("unparseable response: {e}")))
+    /// Ask every shard `op` at once and decode each 200 answer with
+    /// `decode(shard, json)`; the answers come back in shard order. The
+    /// caller's thread asks shard 0 and a scoped thread asks each other
+    /// shard. When any shard fails, the error of the lowest-index failing
+    /// shard is returned.
+    fn ask_all<T: Send>(
+        &mut self,
+        op: ShardOp,
+        decode: impl Fn(usize, &Value) -> Result<T, ShardRpcError> + Sync,
+    ) -> Result<Vec<T>, ShardRpcError> {
+        let (scenario, n, of) = (self.scenario, self.n, self.of());
+        self.rpcs += of as u64;
+        let ask = |shard: usize, client: &mut ResilientClient| {
+            let body = ShardQuery {
+                scenario,
+                n,
+                shard,
+                of,
+                op,
+            }
+            .body();
+            let fail = |message: String| ShardRpcError { shard, message };
+            let (status, resp) = client
+                .post("/v1/shard/aggregate", &body)
+                .map_err(|e| fail(format!("unreachable past retries: {e}")))?;
+            if status != 200 {
+                return Err(fail(format!("answered {status}: {resp}")));
+            }
+            let v = parse(&resp).map_err(|e| fail(format!("unparseable response: {e}")))?;
+            decode(shard, &v)
+        };
+        let (first, rest) = self
+            .clients
+            .split_first_mut()
+            .expect("registry is non-empty");
+        let answers: Vec<_> = std::thread::scope(|s| {
+            let ask = &ask;
+            let others: Vec<_> = rest
+                .iter_mut()
+                .enumerate()
+                .map(|(i, client)| s.spawn(move || ask(i + 1, client)))
+                .collect();
+            let mut answers = vec![ask(0, first)];
+            answers.extend(
+                others
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))),
+            );
+            answers
+        });
+        answers.into_iter().collect()
     }
 
     /// Decode a hex-vector field, checking the element count.
@@ -428,62 +513,65 @@ impl HttpShardSource {
             })
     }
 
-    /// Fan one block-partial op out to every shard and assemble the full
-    /// 64-lane frame. Shard block ranges tile `0..BLOCK_LANES` exactly,
-    /// so every lane is written exactly once.
-    fn gather_partials(&mut self, op: &str, w: Option<f64>) -> Result<Vec<f64>, ShardRpcError> {
-        let of = self.of();
+    /// Place each shard's block partials into the 64-lane frame. Shard
+    /// block ranges tile `0..BLOCK_LANES` exactly, so every lane is
+    /// written exactly once.
+    fn frame(per_shard: Vec<Vec<f64>>) -> Vec<f64> {
+        let of = per_shard.len();
         let mut frame = vec![0.0; BLOCK_LANES];
-        for shard in 0..of {
-            let v = self.rpc(shard, op, w)?;
-            let blocks = shard_blocks(shard, of);
-            let key = if op == "meta" {
-                "total_partials"
-            } else {
-                "partials"
-            };
-            let partials = Self::hex_field(&v, key, blocks.len(), shard)?;
-            frame[blocks].copy_from_slice(&partials);
+        for (shard, partials) in per_shard.into_iter().enumerate() {
+            frame[shard_blocks(shard, of)].copy_from_slice(&partials);
         }
-        Ok(frame)
+        frame
+    }
+
+    /// Ask every shard a block-partial `op` and assemble the frame.
+    fn gather_partials(&mut self, op: ShardOp) -> Result<Vec<f64>, ShardRpcError> {
+        let of = self.of();
+        let parts = self.ask_all(op, |shard, v| {
+            Self::hex_field(v, "partials", shard_blocks(shard, of).len(), shard)
+        })?;
+        Ok(Self::frame(parts))
     }
 
     /// Fetch (once) the w-independent answers.
     fn meta(&mut self) -> Result<&ShardMeta, ShardRpcError> {
         if self.meta.is_none() {
             let of = self.of();
-            let mut len = 0usize;
-            let mut max = f64::NEG_INFINITY;
-            let mut totals = vec![0.0; BLOCK_LANES];
-            for shard in 0..of {
-                let v = self.rpc(shard, "meta", None)?;
+            let answers = self.ask_all(ShardOp::Meta, |shard, v| {
                 let fail = |message: String| ShardRpcError { shard, message };
-                let slen = v
+                let len = v
                     .get("len")
                     .and_then(Value::as_u64)
                     .ok_or_else(|| fail("response has no len".into()))?
                     as usize;
-                if shard == 0 {
-                    len = slen;
-                } else if slen != len {
-                    return Err(fail(format!(
-                        "population length {slen} disagrees with shard 0's {len}"
-                    )));
-                }
-                let smax = v
+                let max = v
                     .get("max_theta_hat")
                     .and_then(Value::as_str)
                     .and_then(parse_hex_f64)
                     .ok_or_else(|| fail("response has no max_theta_hat bit pattern".into()))?;
-                max = max.max(smax);
-                let blocks = shard_blocks(shard, of);
-                let partials = Self::hex_field(&v, "total_partials", blocks.len(), shard)?;
-                totals[blocks].copy_from_slice(&partials);
+                let blocks = shard_blocks(shard, of).len();
+                Ok((
+                    len,
+                    max,
+                    Self::hex_field(v, "total_partials", blocks, shard)?,
+                ))
+            })?;
+            let len = answers[0].0;
+            if let Some(shard) = answers.iter().position(|a| a.0 != len) {
+                return Err(ShardRpcError {
+                    shard,
+                    message: format!(
+                        "population length {} disagrees with shard 0's {len}",
+                        answers[shard].0
+                    ),
+                });
             }
+            let max_theta_hat = answers.iter().fold(f64::NEG_INFINITY, |m, a| m.max(a.1));
             self.meta = Some(ShardMeta {
                 len,
-                max_theta_hat: max,
-                total_partials: totals,
+                max_theta_hat,
+                total_partials: Self::frame(answers.into_iter().map(|a| a.2).collect()),
             });
         }
         Ok(self.meta.as_ref().expect("meta just fetched"))
@@ -506,28 +594,39 @@ impl AggregateSource for HttpShardSource {
     }
 
     fn lambda_partials(&mut self, w: f64) -> Result<Vec<f64>, ShardRpcError> {
-        self.gather_partials("lambda", Some(w))
+        self.gather_partials(ShardOp::Lambda(w))
     }
 
     fn profile(&mut self, w: f64) -> Result<SourceProfile, ShardRpcError> {
+        if !self.with_profile {
+            return Ok(SourceProfile {
+                thetas: Vec::new(),
+                demands: Vec::new(),
+                aggregate_partials: self.gather_partials(ShardOp::Aggregate(w))?,
+            });
+        }
         let of = self.of();
         let len = self.meta()?.len;
+        let answers = self.ask_all(ShardOp::Profile(w), |shard, v| {
+            let span = shard_span(len, shard, of).len();
+            Ok((
+                Self::hex_field(v, "thetas", span, shard)?,
+                Self::hex_field(v, "demands", span, shard)?,
+                Self::hex_field(v, "partials", shard_blocks(shard, of).len(), shard)?,
+            ))
+        })?;
         let mut thetas = Vec::with_capacity(len);
         let mut demands = Vec::with_capacity(len);
-        let mut partials = vec![0.0; BLOCK_LANES];
-        for shard in 0..of {
-            let v = self.rpc(shard, "profile", Some(w))?;
-            let span = shard_span(len, shard, of);
-            let blocks = shard_blocks(shard, of);
-            thetas.extend(Self::hex_field(&v, "thetas", span.len(), shard)?);
-            demands.extend(Self::hex_field(&v, "demands", span.len(), shard)?);
-            let part = Self::hex_field(&v, "partials", blocks.len(), shard)?;
-            partials[blocks].copy_from_slice(&part);
+        let mut partials = Vec::with_capacity(of);
+        for (t, d, p) in answers {
+            thetas.extend(t);
+            demands.extend(d);
+            partials.push(p);
         }
         Ok(SourceProfile {
             thetas,
             demands,
-            aggregate_partials: partials,
+            aggregate_partials: Self::frame(partials),
         })
     }
 }
@@ -591,6 +690,10 @@ mod tests {
             "bit pattern",
         );
         bad(
+            r#"{"scenario":"paper","n":100,"shard":0,"of":2,"op":"aggregate"}"#,
+            "bit pattern",
+        );
+        bad(
             r#"{"scenario":"paper","n":100,"shard":0,"of":2,"op":"lambda","w":"1.5"}"#,
             "bit pattern",
         );
@@ -618,40 +721,38 @@ mod tests {
         let mut lambda = Vec::new();
         let mut totals = Vec::new();
         let mut thetas = Vec::new();
+        let mut aggregates = [Vec::new(), Vec::new()];
         let mut max = f64::NEG_INFINITY;
         for shard in 0..of {
-            let q = |op: &str, with_w: bool| {
-                let w_field = if with_w {
-                    format!(",\"w\":\"{}\"", hex_f64(w))
-                } else {
-                    String::new()
+            let q = |op: ShardOp| {
+                let query = ShardQuery {
+                    scenario: ScenarioKind::PaperEnsemble,
+                    n: 157,
+                    shard,
+                    of,
+                    op,
                 };
-                let body = format!(
-                    "{{\"scenario\":\"paper\",\"n\":157,\"shard\":{shard},\"of\":{of},\"op\":\"{op}\"{w_field}}}"
-                );
-                let parsed = ShardQuery::parse(&body).expect("valid query");
+                let parsed = ShardQuery::parse(&query.body()).expect("valid query");
+                assert_eq!(parsed, query, "the wire body round-trips");
                 parse(&parsed.handle(&scenarios)).expect("valid response")
             };
-            let meta = q("meta", false);
+            let hex = |v: &Value, key: &str| {
+                parse_hex_f64s(v.get(key).and_then(Value::as_str).unwrap()).expect(key)
+            };
+            let meta = q(ShardOp::Meta);
             assert_eq!(meta.get("len").and_then(Value::as_u64), Some(157));
             max = max.max(
                 parse_hex_f64(meta.get("max_theta_hat").and_then(Value::as_str).unwrap())
                     .expect("max bit pattern"),
             );
-            totals.extend(
-                parse_hex_f64s(meta.get("total_partials").and_then(Value::as_str).unwrap())
-                    .expect("total partials"),
-            );
-            let lam = q("lambda", true);
-            lambda.extend(
-                parse_hex_f64s(lam.get("partials").and_then(Value::as_str).unwrap())
-                    .expect("lambda partials"),
-            );
-            let prof = q("profile", true);
-            thetas.extend(
-                parse_hex_f64s(prof.get("thetas").and_then(Value::as_str).unwrap())
-                    .expect("theta slice"),
-            );
+            totals.extend(hex(&meta, "total_partials"));
+            lambda.extend(hex(&q(ShardOp::Lambda(w)), "partials"));
+            thetas.extend(hex(&q(ShardOp::Profile(w)), "thetas"));
+            for (agg, level) in aggregates.iter_mut().zip([w, f64::INFINITY]) {
+                let v = q(ShardOp::Aggregate(level));
+                assert!(v.get("thetas").is_none() && v.get("demands").is_none());
+                agg.extend(hex(&v, "partials"));
+            }
         }
         let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&lambda), bits(&local.lambda_partials(w).unwrap()));
@@ -661,6 +762,13 @@ mod tests {
         );
         assert_eq!(max.to_bits(), local.max_theta_hat().unwrap().to_bits());
         assert_eq!(bits(&thetas), bits(&local.profile(w).unwrap().thetas));
+        for (agg, level) in aggregates.iter().zip([w, f64::INFINITY]) {
+            assert_eq!(
+                bits(agg),
+                bits(&local.profile(level).unwrap().aggregate_partials),
+                "aggregate partials at w = {level}"
+            );
+        }
     }
 
     #[test]
@@ -678,8 +786,35 @@ mod tests {
         let d = q(
             r#"{"scenario":"paper","n":100,"shard":0,"of":4,"op":"lambda","w":"3fd0000000000000"}"#,
         );
+        let e = q(
+            r#"{"scenario":"paper","n":100,"shard":0,"of":2,"op":"aggregate","w":"3fd0000000000000"}"#,
+        );
+        let f = q(
+            r#"{"scenario":"paper","n":100,"shard":0,"of":2,"op":"profile","w":"3fd0000000000000"}"#,
+        );
         assert_ne!(a, b, "probe level must key");
         assert_ne!(a, c, "shard index must key");
         assert_ne!(a, d, "shard count must key");
+        assert_ne!(e, f, "aggregate must key apart from profile");
+        assert_ne!(a, e, "aggregate must key apart from lambda");
+    }
+
+    #[test]
+    fn dist_params_bound_include_profile_like_equilibrium() {
+        let over = r#"{"scenario":"paper","n":10001,"nu":0.3,"include_profile":true}"#;
+        let e = DistParams::parse(over).expect_err("above the profile bound");
+        assert_eq!(e.status, 400);
+        assert_eq!(e.message, "include_profile is limited to n <= 10000");
+        let eq = crate::api::ApiRequest::parse("/v1/equilibrium", over).expect_err("same bound");
+        assert_eq!(e, eq, "one bound, one message");
+        let p =
+            DistParams::parse(r#"{"scenario":"paper","n":10000,"nu":0.3,"include_profile":true}"#)
+                .expect("at the profile bound");
+        assert!(p.include_profile);
+        assert_eq!(p.n, 10_000);
+        // Without the flag, any n up to MAX_CPS parses.
+        let p =
+            DistParams::parse(r#"{"scenario":"paper","n":100000,"nu":0.3}"#).expect("no profile");
+        assert!(!p.include_profile);
     }
 }

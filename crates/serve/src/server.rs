@@ -959,12 +959,13 @@ fn serve_shard_aggregate(inner: &Inner, body: &str) -> (u16, String) {
 /// over the shard registry. The solve's every reduction is fetched as
 /// block partials and combined in original block order, so the response
 /// values are byte-identical to the single-process `solve_maxmin` on the
-/// same scenario (`tests/serve_dist.rs`). A shard that stays unreachable
-/// past the full retry schedule fails the solve typed: `503` naming the
-/// shard, never a made-up number.
+/// same scenario (`tests/serve_dist.rs`). θ/d slices cross the wire only
+/// when the request sets `include_profile`. A shard that stays
+/// unreachable past the full retry schedule fails the solve typed: `503`
+/// naming the shard, never a made-up number.
 fn serve_dist_solve(inner: &Inner, body: &str) -> (u16, String) {
     use crate::dist::{hex_f64, hex_f64s, DistParams, HttpShardSource};
-    use pubopt_eq::SourceSolveError;
+    use pubopt_eq::{AggregateSource, SourceSolveError};
     if inner.shards.is_empty() {
         let e = crate::api::ApiError::bad(
             "this daemon has no shard registry; start it with --shard ADDR per shard",
@@ -975,12 +976,11 @@ fn serve_dist_solve(inner: &Inner, body: &str) -> (u16, String) {
         Ok(p) => p,
         Err(e) => return (e.status, e.body()),
     };
-    if params.include_profile && params.n > 10_000 {
-        let e = crate::api::ApiError::bad("include_profile is limited to n <= 10000");
-        return (e.status, e.body());
-    }
     inner.bump(Stat::DistSolves);
     let mut source = HttpShardSource::new(params.scenario, params.n, &inner.shards);
+    if params.include_profile {
+        source = source.with_profile();
+    }
     let solved = pubopt_eq::solve_maxmin_with_source(
         &mut source,
         params.nu,
@@ -989,11 +989,14 @@ fn serve_dist_solve(inner: &Inner, body: &str) -> (u16, String) {
     inner.add(Stat::ShardRpcs, source.rpcs());
     match solved {
         Ok((eq, stats)) => {
+            // The population length the shards reported (cached by the
+            // solve, so this asks nothing).
+            let n = source.len().expect("the solve fetched the shards' meta");
             let mut fields = vec![
                 ("schema".into(), Value::from("pubopt-serve/v1")),
                 ("endpoint".into(), Value::from("dist-solve")),
                 ("shards".into(), Value::from(inner.shards.len())),
-                ("n".into(), Value::from(eq.thetas.len())),
+                ("n".into(), Value::from(n)),
                 ("nu".into(), Value::from(params.nu)),
                 (
                     "water_level".into(),

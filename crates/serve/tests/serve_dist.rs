@@ -53,6 +53,7 @@ fn stop(server: ServerHandle) {
 /// The expected response fields, computed in-process on the identical
 /// deterministic scenario.
 struct Expected {
+    n: usize,
     water_hex: String,
     aggregate_hex: String,
     thetas_hex: String,
@@ -65,6 +66,7 @@ fn expected(kind: ScenarioKind, n: usize, nu: f64) -> Expected {
     let pop = Scenario::load_scaled(kind, n).pop;
     let (eq, stats) = solve_maxmin_traced(&pop, nu, Tolerance::default());
     Expected {
+        n: pop.len(),
         water_hex: hex_f64(eq.water_level.unwrap_or(f64::INFINITY)),
         aggregate_hex: hex_f64(eq.aggregate),
         thetas_hex: hex_f64s(&eq.thetas),
@@ -97,31 +99,66 @@ fn assert_dist_response_matches(body: &str, want: &Expected, of: usize) {
         "effort counter bisect_iters"
     );
     assert_eq!(v.get("shards").and_then(Value::as_u64), Some(of as u64));
+    assert_eq!(v.get("n").and_then(Value::as_u64), Some(want.n as u64));
+}
+
+/// The default answer (no `include_profile`) must carry exactly the
+/// profiled answer's scalars, and no θ/d.
+fn assert_default_answer_matches(default: &str, profiled: &str) {
+    let (d, p) = (parse(default).unwrap(), parse(profiled).unwrap());
+    for key in [
+        "water_level",
+        "aggregate",
+        "lambda_evals",
+        "bisect_iters",
+        "shard_rpcs",
+        "n",
+    ] {
+        assert_eq!(d.get(key), p.get(key), "{key}: {default} vs {profiled}");
+    }
+    for key in ["thetas", "demands"] {
+        assert!(d.get(key).is_none(), "default answer carries {key}");
+    }
 }
 
 #[test]
 fn dist_solve_is_byte_identical_at_2_4_8_shards() {
-    let n = 400;
-    // Congested and uncongested regimes both.
-    for nu in [0.25, 1e6] {
-        let want = expected(ScenarioKind::PaperEnsemble, n, nu);
-        for of in [2usize, 4, 8] {
-            let (coordinator, shards) = spawn_cluster(of, None);
-            let body =
-                format!(r#"{{"scenario":"paper","n":{n},"nu":{nu},"include_profile":true}}"#);
-            let (status, resp) = client::post(coordinator.addr(), "/v1/dist/solve", &body).unwrap();
-            assert_eq!(status, 200, "{resp}");
-            assert_dist_response_matches(&resp, &want, of);
-            // With no faults, every RPC the coordinator books is one
-            // query some shard books.
-            let rpcs = parse(&resp).unwrap()["shard_rpcs"].as_u64().unwrap();
-            assert_eq!(coordinator.stat(Stat::DistSolves), 1);
-            assert_eq!(coordinator.stat(Stat::ShardRpcs), rpcs);
-            let queries: u64 = shards.iter().map(|s| s.stat(Stat::ShardQueries)).sum();
-            assert_eq!(queries, rpcs, "{of} shards");
-            stop(coordinator);
-            shards.into_iter().for_each(stop);
+    // Congested and uncongested regimes both, and a trio asked for more
+    // CPs than it has: `n` answers the population length.
+    let queries = [
+        (ScenarioKind::PaperEnsemble, "paper", 400, 0.25),
+        (ScenarioKind::PaperEnsemble, "paper", 400, 1e6),
+        (ScenarioKind::Trio, "trio", 1000, 0.8),
+    ];
+    let wants: Vec<Expected> = queries
+        .iter()
+        .map(|&(kind, _, n, nu)| expected(kind, n, nu))
+        .collect();
+    assert_eq!(wants[2].n, 3);
+    for of in [2usize, 4, 8] {
+        let (coordinator, shards) = spawn_cluster(of, None);
+        let mut rpcs = 0;
+        for (&(_, name, n, nu), want) in queries.iter().zip(&wants) {
+            let mut solve = |extra: &str| {
+                let body = format!(r#"{{"scenario":"{name}","n":{n},"nu":{nu}{extra}}}"#);
+                let (status, resp) =
+                    client::post(coordinator.addr(), "/v1/dist/solve", &body).unwrap();
+                assert_eq!(status, 200, "{resp}");
+                rpcs += parse(&resp).unwrap()["shard_rpcs"].as_u64().unwrap();
+                resp
+            };
+            let profiled = solve(r#","include_profile":true"#);
+            assert_dist_response_matches(&profiled, want, of);
+            assert_default_answer_matches(&solve(""), &profiled);
         }
+        // With no faults, every RPC the coordinator books is one query
+        // some shard books.
+        assert_eq!(coordinator.stat(Stat::DistSolves), 2 * queries.len() as u64);
+        assert_eq!(coordinator.stat(Stat::ShardRpcs), rpcs);
+        let asked: u64 = shards.iter().map(|s| s.stat(Stat::ShardQueries)).sum();
+        assert_eq!(asked, rpcs, "{of} shards");
+        stop(coordinator);
+        shards.into_iter().for_each(stop);
     }
 }
 
@@ -166,30 +203,48 @@ fn dist_solve_survives_a_blackholed_shard_byte_identically() {
 
 #[test]
 fn dist_solve_fails_typed_when_a_shard_stays_dark() {
-    // A registry entry nobody listens on: bind a port, then free it.
-    let dead = {
+    // Registry entries nobody listens on: bind ports, then free them.
+    let dead = || {
         let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        l.local_addr().unwrap()
+        l.local_addr().unwrap().to_string()
     };
-    let live = spawn(&config()).unwrap();
-    let coordinator = spawn(&ServeConfig {
-        shards: vec![dead.to_string(), live.addr().to_string()],
-        ..config()
-    })
-    .unwrap();
-    let (status, resp) = client::post(
-        coordinator.addr(),
-        "/v1/dist/solve",
-        r#"{"scenario":"paper","n":50,"nu":0.3}"#,
-    )
-    .unwrap();
-    assert_eq!(status, 503, "{resp}");
-    assert!(
-        resp.contains("shard 0"),
-        "error must name the dark shard: {resp}"
-    );
-    stop(coordinator);
-    stop(live);
+    let live = || spawn(&config()).unwrap();
+    // Every shard is asked at once; the lowest-index failure is the one
+    // reported, whichever answer arrives first.
+    for (dark, named) in [(vec![0], 0), (vec![1], 1), (vec![0, 1], 0)] {
+        let lives: Vec<ServerHandle> = (0..2)
+            .filter(|i| !dark.contains(i))
+            .map(|_| live())
+            .collect();
+        let mut up = lives.iter();
+        let registry: Vec<String> = (0..2)
+            .map(|i| {
+                if dark.contains(&i) {
+                    dead()
+                } else {
+                    up.next().unwrap().addr().to_string()
+                }
+            })
+            .collect();
+        let coordinator = spawn(&ServeConfig {
+            shards: registry,
+            ..config()
+        })
+        .unwrap();
+        let (status, resp) = client::post(
+            coordinator.addr(),
+            "/v1/dist/solve",
+            r#"{"scenario":"paper","n":50,"nu":0.3}"#,
+        )
+        .unwrap();
+        assert_eq!(status, 503, "dark {dark:?}: {resp}");
+        assert!(
+            resp.contains(&format!("failed: shard {named}: ")),
+            "dark {dark:?}: error must name shard {named}: {resp}"
+        );
+        stop(coordinator);
+        lives.into_iter().for_each(stop);
+    }
 }
 
 #[test]
