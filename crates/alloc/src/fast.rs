@@ -591,6 +591,40 @@ mod tests {
         MaxMinFast::new().allocate(&pop3(), &[1.0, 2.0, 1.0], 1.0);
     }
 
+    /// The kernel's reason to exist, as a timing check with a margin wide
+    /// enough for debug builds: at 10k CPs the cached kernel answers 64
+    /// congested water-level queries (O(log n) each) in less time than
+    /// the reference full scan (O(n) each). Preemption can only slow a
+    /// batch down, so the kernel keeps its best of three batches and the
+    /// reference needs just one.
+    #[test]
+    fn cached_kernel_outpaces_the_reference_scan_at_10k_cps() {
+        let mut rng = pubopt_num::Rng::seed_from_u64(0xfa57);
+        let p: Population = (0..10_000)
+            .map(|_| cp(rng.uniform(0.01, 1.0), rng.uniform(0.1, 20.0)))
+            .collect();
+        let demands = vec![1.0; p.len()];
+        let cache = SortedDemands::new(&p);
+        let nus: Vec<f64> = (0..64)
+            .map(|j| cache.offered_load() * (j as f64 + 0.5) / 64.0)
+            .collect();
+        let batch = |level: &dyn Fn(f64) -> f64| {
+            let t = std::time::Instant::now();
+            let sum: f64 = nus.iter().map(|&nu| level(std::hint::black_box(nu))).sum();
+            std::hint::black_box(sum);
+            t.elapsed()
+        };
+        let fast = (0..3)
+            .map(|_| batch(&|nu| cache.water_level(nu)))
+            .min()
+            .expect("three batches");
+        let reference = batch(&|nu| MaxMinFair::water_level(&p, &demands, nu));
+        assert!(
+            fast < reference,
+            "cached kernel {fast:?} vs reference scan {reference:?}"
+        );
+    }
+
     prop_compose! {
         fn arb_pop()(specs in prop::collection::vec((0.01f64..1.0, 0.1f64..20.0), 1..16)) -> Population {
             specs.into_iter().map(|(a, th)| cp(a, th)).collect()

@@ -866,8 +866,8 @@ mod tests {
         // warm seed cycles, so Phase-2 compromises are bit-identical —
         // while spending strictly less solver effort. (The headline ≥ 3×
         // iteration reduction is a property of the water-level kernel's
-        // segment hints, asserted in pubopt-eq and measured at figure
-        // scale by the bench harness; partition seeding on top of it is a
+        // segment hints, asserted in pubopt-eq and at figure scale by
+        // pubopt-experiments' fig5 tests; partition seeding on top of it is a
         // modest win because best-response convergence is rate-limited
         // near the fixed point, not by starting distance.)
         let pop = smooth_pop(120);

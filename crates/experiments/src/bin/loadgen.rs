@@ -54,6 +54,12 @@
 //! two same-seed single-client runs print the same key, which is the CI
 //! chaos-soak replay gate. Exits nonzero on any hard failure or a
 //! byte-identity miss.
+//!
+//! A flag the chosen mode would ignore is refused before anything runs:
+//! `--fault-rate` and `--deadline-ms` need `--chaos-net`; the soak takes
+//! none of the target, transport, `--whatif` or `--shutdown` flags; and
+//! `--ab-connections` sets its own connection modes and sends no
+//! shutdown.
 
 use pubopt_experiments::serveload::{
     chaos_soak, mixed_workload, replay_classified, replay_with, ChaosSoakOptions, ConnMode,
@@ -83,7 +89,7 @@ fn main() -> ExitCode {
     let mut rate: Option<f64> = None;
     let mut ab_connections = false;
     let mut chaos_net: Option<u64> = None;
-    let mut fault_rate = 0.1f64;
+    let mut fault_rate: Option<f64> = None;
     let mut deadline_ms: Option<u64> = None;
 
     let mut args = std::env::args().skip(1);
@@ -106,7 +112,7 @@ fn main() -> ExitCode {
                 "--rate" => rate = Some(parse_flag("--rate", args.next())?),
                 "--ab-connections" => ab_connections = true,
                 "--chaos-net" => chaos_net = Some(parse_flag("--chaos-net", args.next())?),
-                "--fault-rate" => fault_rate = parse_flag("--fault-rate", args.next())?,
+                "--fault-rate" => fault_rate = Some(parse_flag("--fault-rate", args.next())?),
                 "--deadline-ms" => deadline_ms = Some(parse_flag("--deadline-ms", args.next())?),
                 "--help" | "-h" => {
                     println!(
@@ -147,13 +153,65 @@ fn main() -> ExitCode {
         eprintln!("--whatif must be in [0, 1]");
         return ExitCode::FAILURE;
     }
+    // Each mode reads only some flags; one it would silently ignore is
+    // an error, not a no-op.
+    let given = [
+        ("--addr", addr.is_some()),
+        ("--spawn", do_spawn),
+        ("--chaos", chaos_seed.is_some()),
+        ("--ab-connections", ab_connections),
+        ("--shutdown", shutdown_after),
+        ("--keep-alive", keep_alive),
+        ("--pipeline", pipeline > 1),
+        ("--batch", batch.is_some()),
+        ("--rate", rate.is_some()),
+        ("--whatif", opts.whatif_ratio > 0.0),
+        ("--fault-rate", fault_rate.is_some()),
+        ("--deadline-ms", deadline_ms.is_some()),
+    ];
+    let (mode, ignored): (&str, &[&str]) = if chaos_net.is_some() {
+        // The soak owns its daemon, proxy and transport discipline: only
+        // the workload shape, the fault rate and the deadline reach it.
+        (
+            "under --chaos-net",
+            &[
+                "--addr",
+                "--spawn",
+                "--chaos",
+                "--ab-connections",
+                "--shutdown",
+                "--keep-alive",
+                "--pipeline",
+                "--batch",
+                "--rate",
+                "--whatif",
+            ],
+        )
+    } else if ab_connections {
+        // The A/B picks each arm's connection mode itself and returns
+        // before any shutdown would be sent.
+        (
+            "under --ab-connections",
+            &[
+                "--shutdown",
+                "--keep-alive",
+                "--pipeline",
+                "--fault-rate",
+                "--deadline-ms",
+            ],
+        )
+    } else {
+        ("without --chaos-net", &["--fault-rate", "--deadline-ms"])
+    };
+    if let Some((flag, _)) = given
+        .iter()
+        .find(|(flag, on)| *on && ignored.contains(flag))
+    {
+        eprintln!("{flag} has no effect {mode}");
+        return ExitCode::FAILURE;
+    }
     if let Some(seed) = chaos_net {
-        // The soak owns its daemon, proxy, and transport discipline:
-        // everything except the workload shape is off the table.
-        if addr.is_some() || chaos_seed.is_some() || ab_connections {
-            eprintln!("--chaos-net is incompatible with --addr, --chaos and --ab-connections");
-            return ExitCode::FAILURE;
-        }
+        let fault_rate = fault_rate.unwrap_or(0.1);
         if !(0.0..=1.0).contains(&fault_rate) {
             eprintln!("--fault-rate must be in [0, 1]");
             return ExitCode::FAILURE;

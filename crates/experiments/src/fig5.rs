@@ -343,4 +343,47 @@ mod tests {
         assert_eq!(r.recovered_points, 0);
         assert_eq!(r.failed_points, 0);
     }
+
+    /// The warm-start acceptance criterion on the Figure-5 workload: the
+    /// paper's 1000-CP ensemble at the grid's middle strategy, over a
+    /// debug-sized slice of the fig5 ν grid (25 of the 100 points; the
+    /// ratio is a per-solve property, so the slice measures what the full
+    /// grid does). One [`GameWarmStart`] carried along the grid, as the
+    /// sweep chunks carry it, must reproduce the no-hint baseline
+    /// ([`GameWarmStart::without_hints`], fresh per point) exactly while
+    /// spending at least 3× fewer breakpoint-segment probes.
+    #[test]
+    fn warmstart_ab_on_fig5_workload_is_exact_and_meets_3x() {
+        let pop = pubopt_workload::EnsembleConfig::default().generate();
+        let strategy = IspStrategy::new(0.5, 0.4);
+        let tol = Tolerance::COARSE;
+        let mut warm = GameWarmStart::new();
+        let mut cold = pubopt_eq::SweepEffort::default();
+        for nu in pubopt_num::linspace_excl_zero(500.0, 25) {
+            let w = competitive_equilibrium_warm(&pop, nu, strategy, tol, &mut warm).outcome;
+            let mut baseline = GameWarmStart::without_hints();
+            let c = competitive_equilibrium_warm(&pop, nu, strategy, tol, &mut baseline).outcome;
+            cold.merge(&baseline.effort());
+            assert_eq!(w.partition, c.partition, "nu={nu}: partition");
+            for (label, got, want) in [
+                ("psi", w.isp_surplus(&pop), c.isp_surplus(&pop)),
+                ("phi", w.consumer_surplus(&pop), c.consumer_surplus(&pop)),
+            ] {
+                assert_eq!(got.to_bits(), want.to_bits(), "nu={nu}: {label}");
+            }
+        }
+        let warm = warm.effort();
+        assert!(
+            warm.segment_probes * 3 <= cold.segment_probes,
+            ">=3x fewer segment probes warm vs cold: cold={} warm={}",
+            cold.segment_probes,
+            warm.segment_probes
+        );
+        assert!(
+            warm.lambda_evals < cold.lambda_evals,
+            "total lambda evaluations must also drop: cold={} warm={}",
+            cold.lambda_evals,
+            warm.lambda_evals
+        );
+    }
 }

@@ -23,19 +23,15 @@
 //! | [`solvers`] | (methods) | cross-validation of the independent solver pairs |
 //! | [`netsim_check`] | §II-D.2 | TCP-vs-max-min validation table |
 //!
-//! Sweeps are embarrassingly parallel and fan out over scoped worker
-//! threads writing disjoint result slots ([`runner`]). The
-//! [`bench_harness`] module times the per-figure kernels with no
-//! dependencies outside the workspace
-//! (`cargo run --release -p pubopt-experiments --bin bench`), and
-//! [`serveload`] replays seeded mixed workloads against the
-//! `pubopt-serve` daemon — the `loadgen` binary and the bench report's
-//! `serving` section.
+//! Sweeps are embarrassingly parallel and run on the persistent
+//! `pubopt-sched` pool, each item writing its own result slot
+//! ([`runner`]). [`serveload`] replays seeded mixed workloads against
+//! the `pubopt-serve` daemon for the `loadgen` binary. The repository
+//! benchmark lives in `perfbench/`, outside this crate.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod bench_harness;
 pub mod discussion;
 pub mod fig2;
 pub mod fig3;
@@ -50,7 +46,6 @@ pub mod resilience;
 pub mod runner;
 pub mod serveload;
 pub mod shape;
-pub mod shardload;
 pub mod solvers;
 pub mod svg;
 pub mod theorems;
@@ -60,9 +55,7 @@ pub use resilience::{
     interpolate_gaps, resilient_sweep, resilient_sweep_chunked, SweepStats, SWEEP_CHUNK,
 };
 pub use runner::{parallel_chunk_map, parallel_map, parallel_try_map, TaskOutcome};
-pub use serveload::{
-    mixed_workload, replay, serving_bench, LoadOptions, LoadSummary, ServingBench,
-};
+pub use serveload::{mixed_workload, replay, LoadOptions, LoadSummary};
 pub use shape::ShapeCheck;
 pub use svg::{render_chart, render_table, ChartConfig, Series};
 

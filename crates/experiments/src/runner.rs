@@ -78,8 +78,11 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// input order in the output.
 ///
 /// `f` must be `Sync` (it is shared by reference across workers) and the
-/// items are only read. Panics in a worker propagate (the scope join
-/// re-raises), so a failed sweep fails loudly.
+/// items are only read. A panic in a worker propagates: [`Pool::map`]
+/// re-raises the first payload here and the pool survives, so a failed
+/// sweep fails loudly without poisoning later sweeps.
+///
+/// [`Pool::map`]: pubopt_sched::Pool::map
 pub fn parallel_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,

@@ -1,20 +1,14 @@
 //! Seeded load generation against the `pubopt-serve` daemon.
 //!
-//! The serving tentpole's acceptance criteria are throughput claims, and
-//! throughput claims need a workload. This module is the single source of
-//! that workload: a seed expands deterministically into a mixed request
-//! stream over the three query endpoints, drawn from a bounded parameter
-//! pool so repeats land in the daemon's response cache. The same
-//! generator drives the `loadgen` binary (CI smoke + ad-hoc probing) and
-//! the bench harness's `serving` section (the cold-vs-warm A/B behind the
-//! ≥ 10× claim in `EXPERIMENTS.md`), so the numbers in both places are
-//! the same experiment at different sizes.
+//! A seed expands deterministically into a mixed request stream over the
+//! query endpoints, drawn from a bounded parameter pool so repeats land
+//! in the daemon's response cache. The generator drives the `loadgen`
+//! binary (CI smokes and ad-hoc probing).
 //!
 //! The failure drills live here too: [`chaos_soak`] replays the same
 //! seeded workload through a [`ChaosProxy`] with [`ResilientClient`]s
 //! and tallies availability, goodput, and tail latency under fault —
-//! the `serving_faults` bench section ([`fault_bench`]) and the CI
-//! `chaos-soak` task are that soak at two fault rates.
+//! the CI `chaos-soak` task is that soak at two fault rates.
 
 use pubopt_num::Rng;
 use pubopt_serve::client::{CircuitBreaker, ResilienceStats, RetryBudget};
@@ -92,8 +86,7 @@ pub struct LoadSummary {
     pub p99_us: u64,
     /// Nearest-rank median latency over **`2xx` responses only** — the
     /// achieved-goodput family, the honest "latency of work actually
-    /// served". Zero when nothing succeeded. The bench report's
-    /// open-loop percentiles are this family.
+    /// served". Zero when nothing succeeded.
     pub goodput_p50_us: u64,
     /// Nearest-rank goodput (`2xx`-only) p95 latency, microseconds.
     pub goodput_p95_us: u64,
@@ -106,37 +99,6 @@ impl LoadSummary {
     pub fn failed(&self) -> usize {
         self.requests - self.ok
     }
-}
-
-/// The `serving` section of the bench report: a cold-vs-warm A/B of the
-/// daemon on one seeded workload pool.
-///
-/// The cold pass issues each distinct request once (every one a cache
-/// miss: the full solve plus HTTP round trip). The warm pass replays the
-/// identical pool `repeats` times (every request a hit: cached bytes
-/// plus the same round trip). The ISSUE acceptance criterion is
-/// `speedup ≥ 10` with warm bodies bit-identical to a cold daemon's.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServingBench {
-    /// Distinct requests in the pool.
-    pub distinct: usize,
-    /// Warm-pass replays of the pool.
-    pub repeats: usize,
-    /// Cold-pass throughput (all misses), requests per second.
-    pub cold_rps: f64,
-    /// Warm-pass throughput (all hits), requests per second.
-    pub warm_rps: f64,
-    /// `warm_rps / cold_rps`.
-    pub speedup: f64,
-    /// Cache hit fraction over both passes, from the daemon's counters.
-    pub hit_rate: f64,
-    /// Warm-pass median latency, microseconds.
-    pub warm_p50_us: u64,
-    /// Warm-pass p99 latency, microseconds.
-    pub warm_p99_us: u64,
-    /// Whether warm responses matched a fresh cold daemon byte for byte
-    /// on the probed subset.
-    pub byte_identical: bool,
 }
 
 /// Render an `f64` for a JSON body. Rust's `Display` emits the shortest
@@ -248,9 +210,9 @@ pub fn mixed_workload(opts: &LoadOptions) -> Vec<(String, String)> {
 /// Process-wide pool of loadgen client threads, shared by every
 /// [`replay`] call and reused across request batches. The old replay
 /// spawned (and joined) `clients` fresh OS threads per batch, so a
-/// multi-batch experiment like [`serving_bench`] — cold pass, warm pass,
-/// probes — paid thread setup per pass; the persistent pool pays it once
-/// per process. The clients deliberately do *not* share
+/// multi-batch run like `loadgen --ab-connections` — prewarm, close
+/// pass, reuse pass — paid thread setup per pass; the persistent pool
+/// pays it once per process. The clients deliberately do *not* share
 /// `pubopt_sched::Pool::global()`: these tasks block on sockets, and
 /// parking a compute worker behind peer I/O would stall any equilibrium
 /// sweep running in the same process. Per-call concurrency is still the
@@ -595,260 +557,8 @@ fn batch_statuses(sent: Option<(u16, String)>, n: usize) -> Vec<u16> {
     }
 }
 
-/// Run the cold-vs-warm serving A/B for the bench report.
-///
-/// Spawns a private daemon, issues the pool once cold (all misses), then
-/// replays it `repeats` times warm (all hits), and finally probes a
-/// subset of warm responses against a *fresh* daemon to certify the hits
-/// byte-identical to cold solves.
-///
-/// # Panics
-///
-/// Panics if a daemon fails to bind a loopback port or a request fails
-/// at the socket level — both mean the bench environment is broken.
-pub fn serving_bench(quick: bool) -> ServingBench {
-    let opts = LoadOptions {
-        pool: if quick { 6 } else { 16 },
-        scenario_n: if quick { 24 } else { 200 },
-        seed: 7,
-        clients: 4,
-        requests: 0, // the A/B builds its own passes from the pool
-        whatif_ratio: 0.0,
-    };
-    let repeats = if quick { 3 } else { 8 };
-    let mut rng = Rng::seed_from_u64(opts.seed);
-    let pool: Vec<(String, String)> = (0..opts.pool)
-        .map(|_| pool_entry(&mut rng, opts.scenario_n))
-        .collect();
-
-    let server = spawn(&ServeConfig::default()).expect("bind loopback daemon");
-    let addr = server.addr();
-
-    // Cold pass: every distinct query once, nothing cached.
-    let cold = replay(addr, &pool, opts.clients);
-    assert_eq!(cold.failed(), 0, "cold pass must succeed: {cold:?}");
-
-    // Warm pass: the same pool repeated — every request is a cache hit.
-    let warm_stream: Vec<(String, String)> = (0..repeats).flat_map(|_| pool.clone()).collect();
-    let warm = replay(addr, &warm_stream, opts.clients);
-    assert_eq!(warm.failed(), 0, "warm pass must succeed: {warm:?}");
-    let stats = server.cache_stats();
-    let hit_rate = stats.hits as f64 / (stats.hits + stats.misses).max(1) as f64;
-
-    // Byte-identity probe: warm hits vs a daemon that has never seen the
-    // query. Three probes cover all three endpoint families in any pool
-    // ordering without re-paying the whole cold pass.
-    let probe = spawn(&ServeConfig::default()).expect("bind probe daemon");
-    let byte_identical = pool.iter().take(3).all(|(path, body)| {
-        let warm_body = client::post(addr, path, body).expect("warm probe").1;
-        let cold_body = client::post(probe.addr(), path, body)
-            .expect("cold probe")
-            .1;
-        warm_body == cold_body
-    });
-    probe.shutdown();
-    probe.join();
-    server.shutdown();
-    server.join();
-
-    ServingBench {
-        distinct: opts.pool,
-        repeats,
-        cold_rps: cold.throughput_rps,
-        warm_rps: warm.throughput_rps,
-        speedup: warm.throughput_rps / cold.throughput_rps.max(f64::MIN_POSITIVE),
-        hit_rate,
-        warm_p50_us: warm.p50_us,
-        warm_p99_us: warm.p99_us,
-        byte_identical,
-    }
-}
-
-/// The `serving_connections` section of the bench report: the transport
-/// A/Bs behind the event-driven front end.
-///
-/// All passes replay the same cache-prewarmed workload (every request a
-/// hit), so the solver contributes nothing and the deltas are pure
-/// transport: connection setup (close vs reuse), per-request round trips
-/// (single vs pipelined vs batched), and queueing under an open-loop
-/// arrival schedule.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServingConnections {
-    /// Requests per pass.
-    pub requests: usize,
-    /// Fresh-connection-per-request throughput (the baseline).
-    pub close_rps: f64,
-    /// Keep-alive (one connection per client) throughput.
-    pub reuse_rps: f64,
-    /// `reuse_rps / close_rps`. **This throughput ratio is what the CI
-    /// A/B gate reads** (≥ 1.5 on ≥ 4 cores) — not any percentile field;
-    /// the latency families below are informational.
-    pub reuse_speedup: f64,
-    /// Keep-alive + pipelined bursts throughput.
-    pub pipeline_rps: f64,
-    /// Pipelined burst depth.
-    pub pipeline_depth: usize,
-    /// Sub-queries per `/v1/batch` envelope.
-    pub batch_size: usize,
-    /// Batched throughput in sub-queries per second.
-    pub batch_rps: f64,
-    /// `batch_rps / reuse_rps` — what the batch envelope buys over
-    /// keep-alive singles.
-    pub batch_speedup: f64,
-    /// Open-loop arrival rate of the pacing pass, requests per second.
-    pub open_loop_rate_rps: f64,
-    /// Open-loop median latency from *scheduled* start, microseconds —
-    /// the **achieved-goodput** (`2xx`-only) family, so a shed response
-    /// can never drag the tail optimistically low. The bench pass
-    /// asserts zero failures, so here it coincides with the
-    /// all-responses median; the split matters for ad-hoc overload
-    /// probes (`loadgen --rate`), which report both families.
-    pub open_loop_p50_us: u64,
-    /// Open-loop goodput p95 latency, microseconds.
-    pub open_loop_p95_us: u64,
-    /// Open-loop goodput p99 latency, microseconds.
-    pub open_loop_p99_us: u64,
-    /// Whether a cold daemon's `/v1/batch` response embedded, byte for
-    /// byte, the responses a second cold daemon gave the same queries
-    /// issued singly.
-    pub byte_identical: bool,
-}
-
-/// Run the connection-layer A/Bs for the bench report.
-///
-/// # Panics
-///
-/// Panics if a daemon fails to bind, a pass drops requests, or the
-/// batch byte-identity probe fails — all mean the serving path is broken,
-/// which the bench must not paper over.
-pub fn connection_bench(quick: bool) -> ServingConnections {
-    let opts = LoadOptions {
-        pool: if quick { 4 } else { 12 },
-        scenario_n: if quick { 16 } else { 120 },
-        seed: 11,
-        clients: 4,
-        requests: if quick { 96 } else { 480 },
-        whatif_ratio: 0.0,
-    };
-    let mut rng = Rng::seed_from_u64(opts.seed);
-    let pool: Vec<(String, String)> = (0..opts.pool)
-        .map(|_| pool_entry(&mut rng, opts.scenario_n))
-        .collect();
-    let workload: Vec<(String, String)> = (0..opts.requests)
-        .map(|i| pool[i % pool.len()].clone())
-        .collect();
-
-    let server = spawn(&ServeConfig::default()).expect("bind loopback daemon");
-    let addr = server.addr();
-    // Prewarm: every pool entry solved and cached once, so the passes
-    // below measure transport, not solver.
-    let prewarm = replay(addr, &pool, opts.clients);
-    assert_eq!(prewarm.failed(), 0, "prewarm must succeed: {prewarm:?}");
-
-    let pass = |mode: ConnMode, pipeline: usize, batch: Option<usize>| {
-        let summary = replay_with(
-            addr,
-            &workload,
-            &ReplayOptions {
-                clients: opts.clients,
-                mode,
-                pipeline,
-                rate_rps: None,
-                batch,
-            },
-        );
-        assert_eq!(summary.failed(), 0, "pass must succeed: {summary:?}");
-        summary
-    };
-    let close = pass(ConnMode::Close, 1, None);
-    let reuse = pass(ConnMode::Reuse, 1, None);
-    let pipeline_depth = 8;
-    let pipelined = pass(ConnMode::Reuse, pipeline_depth, None);
-    let batch_size = 8;
-    let batched = pass(ConnMode::Reuse, 1, Some(batch_size));
-
-    // Open loop at half the keep-alive capacity: stable queueing, honest
-    // percentiles (latency from scheduled start).
-    let rate = (reuse.throughput_rps * 0.5).max(1.0);
-    let open = replay_with(
-        addr,
-        &workload,
-        &ReplayOptions {
-            clients: opts.clients,
-            mode: ConnMode::Reuse,
-            pipeline: 1,
-            rate_rps: Some(rate),
-            batch: None,
-        },
-    );
-    assert_eq!(open.failed(), 0, "open-loop pass must succeed: {open:?}");
-    server.shutdown();
-    server.join();
-
-    // Batch byte-identity on cold daemons: one answers the pool as a
-    // batch, the other answers it singly; the batch envelope must embed
-    // the single bodies exactly.
-    let cold_batch = spawn(&ServeConfig::default()).expect("bind batch daemon");
-    let subs: Vec<String> = pool
-        .iter()
-        .map(|(path, body)| batch_entry(path, body))
-        .collect();
-    let (status, batch_resp) = client::post(
-        cold_batch.addr(),
-        "/v1/batch",
-        &format!("{{\"queries\":[{}]}}", subs.join(",")),
-    )
-    .expect("batch probe");
-    assert_eq!(status, 200, "{batch_resp}");
-    cold_batch.shutdown();
-    cold_batch.join();
-    let cold_single = spawn(&ServeConfig::default()).expect("bind single daemon");
-    let singles: Vec<String> = pool
-        .iter()
-        .map(|(path, body)| {
-            let (s, b) = client::post(cold_single.addr(), path, body).expect("single probe");
-            assert_eq!(s, 200, "{b}");
-            b
-        })
-        .collect();
-    cold_single.shutdown();
-    cold_single.join();
-    let expected = format!(
-        "{{\"schema\":\"pubopt-serve/v1\",\"endpoint\":\"batch\",\"count\":{},\"ok\":{},\"results\":[{}]}}",
-        pool.len(),
-        pool.len(),
-        singles
-            .iter()
-            .map(|b| format!("{{\"status\":200,\"response\":{b}}}"))
-            .collect::<Vec<_>>()
-            .join(",")
-    );
-    let byte_identical = batch_resp == expected;
-    assert!(
-        byte_identical,
-        "batch bytes diverged from singles:\n{batch_resp}\nvs\n{expected}"
-    );
-
-    ServingConnections {
-        requests: opts.requests,
-        close_rps: close.throughput_rps,
-        reuse_rps: reuse.throughput_rps,
-        reuse_speedup: reuse.throughput_rps / close.throughput_rps.max(f64::MIN_POSITIVE),
-        pipeline_rps: pipelined.throughput_rps,
-        pipeline_depth,
-        batch_size,
-        batch_rps: batched.throughput_rps,
-        batch_speedup: batched.throughput_rps / reuse.throughput_rps.max(f64::MIN_POSITIVE),
-        open_loop_rate_rps: rate,
-        open_loop_p50_us: open.goodput_p50_us,
-        open_loop_p95_us: open.goodput_p95_us,
-        open_loop_p99_us: open.goodput_p99_us,
-        byte_identical,
-    }
-}
-
-/// Options for a chaos soak: the hostile-network drill behind the
-/// `serving_faults` bench section and the CI `chaos-soak` task.
+/// Options for a chaos soak: the hostile-network drill behind
+/// `loadgen --chaos-net` and the CI `chaos-soak` task.
 #[derive(Debug, Clone)]
 pub struct ChaosSoakOptions {
     /// Total requests issued through the proxy.
@@ -1148,177 +858,6 @@ pub fn chaos_soak(opts: &ChaosSoakOptions) -> ChaosSoakSummary {
     }
 }
 
-/// One row of the `serving_faults` bench section: a soak at one rate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultDrill {
-    /// Aggregate fault rate of the drill.
-    pub fault_rate: f64,
-    /// `ok / requests` under that rate.
-    pub availability: f64,
-    /// Successful requests per second under fault.
-    pub goodput_rps: f64,
-    /// Median latency including retries, microseconds.
-    pub p50_us: u64,
-    /// p99 latency under fault, microseconds.
-    pub p99_us: u64,
-    /// Requests that never got a final response.
-    pub hard_failures: u64,
-    /// Backoff waits taken across the soak.
-    pub retries: u64,
-    /// Faults the proxy injected.
-    pub faults_injected: u64,
-    /// Connections refused at accept time.
-    pub refusals: u64,
-    /// Breaker trips during the soak.
-    pub breaker_opens: u64,
-    /// Half-Open → Closed recoveries during the soak.
-    pub breaker_closes: u64,
-    /// Fault-schedule digest (the replay witness for this drill).
-    pub schedule_digest: u64,
-    /// Whether fault-surviving responses matched the unfaulted bytes.
-    pub byte_identical: bool,
-}
-
-/// The `serving_faults` section of the bench report: availability and
-/// tail latency under a fault-rate grid, one [`chaos_soak`] per rate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServingFaults {
-    /// Requests per drill.
-    pub requests: usize,
-    /// Seed keying workload, fault schedule, and jitter.
-    pub seed: u64,
-    /// One soak per fault rate, ascending.
-    pub drills: Vec<FaultDrill>,
-    /// Conjunction of the drills' byte-identity probes.
-    pub byte_identical: bool,
-}
-
-/// Run the fault-rate grid for the bench report: one [`chaos_soak`] at
-/// each of 10% and 30% aggregate fault rate.
-///
-/// # Panics
-///
-/// Panics if a daemon or proxy fails to bind a loopback port.
-pub fn fault_bench(quick: bool) -> ServingFaults {
-    let base = ChaosSoakOptions {
-        requests: if quick { 80 } else { 240 },
-        clients: 2,
-        seed: 7,
-        fault_rate: 0.0,
-        pool: if quick { 6 } else { 10 },
-        scenario_n: if quick { 12 } else { 48 },
-        deadline_ms: None,
-    };
-    let drills: Vec<FaultDrill> = [0.10, 0.30]
-        .into_iter()
-        .map(|rate| {
-            let soak = chaos_soak(&ChaosSoakOptions {
-                fault_rate: rate,
-                ..base.clone()
-            });
-            FaultDrill {
-                fault_rate: rate,
-                availability: soak.availability,
-                goodput_rps: soak.goodput_rps,
-                p50_us: soak.p50_us,
-                p99_us: soak.p99_us,
-                hard_failures: soak.hard_failures,
-                retries: soak.retries,
-                faults_injected: soak.faults_injected,
-                refusals: soak.refusals,
-                breaker_opens: soak.breaker_opens,
-                breaker_closes: soak.breaker_closes,
-                schedule_digest: soak.schedule_digest,
-                byte_identical: soak.byte_identical,
-            }
-        })
-        .collect();
-    ServingFaults {
-        requests: base.requests,
-        seed: base.seed,
-        byte_identical: drills.iter().all(|d| d.byte_identical),
-        drills,
-    }
-}
-
-/// The `whatif` section of the bench report: one end-to-end
-/// `/v1/whatif` co-simulation (analytical equilibrium + event-driven
-/// AIMD replay) timed cold through a loopback daemon, then repeated so
-/// the second pass rides the response cache, plus a cross-daemon
-/// worker-count probe: a second daemon answers the same question with
-/// `workers: 4` and must produce the byte-identical body (the `workers`
-/// field is an execution hint, deliberately outside the cache key).
-#[derive(Debug, Clone, PartialEq)]
-pub struct WhatifBench {
-    /// Modelled flow population handed to the simulator.
-    pub flows: usize,
-    /// Wall microseconds for the cold (cache-miss) solve+simulate.
-    pub cold_us: u64,
-    /// Wall microseconds for the cached repeat.
-    pub warm_us: u64,
-    /// `cold_us / warm_us`.
-    pub cache_speedup: f64,
-    /// Pooled mean relative error between the simulated AIMD outcome and
-    /// the analytical water-filling prediction, from the response body.
-    pub divergence: f64,
-    /// Cached repeat AND the 4-worker daemon's answer both match the
-    /// cold body byte for byte.
-    pub byte_identical: bool,
-}
-
-/// Run the `/v1/whatif` end-to-end bench: cold vs cached timing on one
-/// daemon, byte-identity against a second daemon running the simulation
-/// with 4 workers.
-///
-/// # Panics
-///
-/// Panics if a daemon fails to bind a loopback port, a request fails at
-/// the socket level, or the endpoint returns a non-200 status — all
-/// mean the serving path is broken, which the bench must not paper
-/// over.
-pub fn whatif_bench(quick: bool) -> WhatifBench {
-    let flows = if quick { 400 } else { 100_000 };
-    let question = |workers: usize| {
-        format!(
-            "{{\"scenario\":\"trio\",\"nu\":0.5,\"kappa\":0.4,\"c\":0.05,\
-             \"flows\":{flows},\"workers\":{workers}}}"
-        )
-    };
-    let ask = |addr: SocketAddr, body: &str| -> (u64, String) {
-        let t = Instant::now();
-        let (code, resp) = client::post(addr, "/v1/whatif", body).expect("whatif request");
-        assert_eq!(code, 200, "whatif must succeed: {resp}");
-        (
-            u64::try_from(t.elapsed().as_micros()).unwrap_or(u64::MAX),
-            resp,
-        )
-    };
-
-    let server = spawn(&ServeConfig::default()).expect("bind loopback daemon");
-    let (cold_us, cold_body) = ask(server.addr(), &question(1));
-    let (warm_us, warm_body) = ask(server.addr(), &question(1));
-    server.shutdown();
-    server.join();
-
-    let wide = spawn(&ServeConfig::default()).expect("bind loopback daemon");
-    let (_, wide_body) = ask(wide.addr(), &question(4));
-    wide.shutdown();
-    wide.join();
-
-    let parsed = pubopt_obs::json::parse(&cold_body).expect("whatif body parses");
-    let divergence = parsed["divergence"]["mean_rel_error"]
-        .as_f64()
-        .expect("divergence.mean_rel_error present");
-    WhatifBench {
-        flows,
-        cold_us,
-        warm_us,
-        cache_speedup: cold_us.max(1) as f64 / warm_us.max(1) as f64,
-        divergence,
-        byte_identical: warm_body == cold_body && wide_body == cold_body,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1371,7 +910,7 @@ mod tests {
     #[test]
     fn zero_whatif_ratio_reproduces_the_historical_stream() {
         // The ratio carve-out rescales the mixture instead of shifting
-        // it, so existing seeded workloads (CI smokes, bench pools) are
+        // it, so existing seeded workloads (the CI smokes) are
         // byte-for-byte unchanged at ratio 0.
         let base = LoadOptions {
             requests: 50,
@@ -1469,8 +1008,8 @@ mod tests {
 
     #[test]
     fn replay_reuses_client_threads_across_batches() {
-        // Back-to-back batches (the serving_bench shape: cold pass, then
-        // warm passes) run on the one shared client pool rather than
+        // Back-to-back batches (the --ab-connections shape: prewarm,
+        // then one pass per arm) run on the one shared client pool rather than
         // spawning threads per batch; its worker count is a process-wide
         // constant across batches.
         let server = spawn(&ServeConfig::default()).expect("bind");
@@ -1615,8 +1154,8 @@ mod tests {
 
     #[test]
     fn chaos_soak_is_deterministic_per_seed() {
-        // ISSUE satellite: same seed ⇒ byte-identical fault schedule and
-        // identical summary counters; different seed ⇒ different
+        // Same seed ⇒ byte-identical fault schedule and identical summary
+        // counters; different seed or different fault rate ⇒ different
         // schedule. Single client — with more, proxy connection ids
         // depend on accept interleaving.
         let opts = ChaosSoakOptions {
@@ -1639,40 +1178,38 @@ mod tests {
         assert_eq!(a.hard_failures, 0, "the stack must absorb 30%: {a:?}");
         assert!(a.faults_injected > 0, "a 30% soak must fault: {a:?}");
         assert!(a.byte_identical, "retried bytes must match direct: {a:?}");
-        let c = chaos_soak(&ChaosSoakOptions { seed: 6, ..opts });
+        let c = chaos_soak(&ChaosSoakOptions {
+            seed: 6,
+            ..opts.clone()
+        });
         assert_ne!(
             a.schedule_digest, c.schedule_digest,
             "different seeds must draw different schedules"
         );
-    }
-
-    #[test]
-    fn fault_bench_quick_holds_its_invariants() {
-        let bench = fault_bench(true);
-        assert_eq!(bench.drills.len(), 2);
-        assert!(bench.byte_identical, "{bench:?}");
-        for d in &bench.drills {
-            assert_eq!(d.hard_failures, 0, "{d:?}");
-            assert!(d.availability >= 0.99, "{d:?}");
-            assert!(d.faults_injected > 0, "{d:?}");
-            assert!(d.goodput_rps > 0.0, "{d:?}");
-        }
-        assert!(
-            bench.drills[1].faults_injected > bench.drills[0].faults_injected,
-            "30% must fault more than 10%: {bench:?}"
+        // The same soak at 10%: still nothing lost and identical bytes,
+        // fewer faults than at 30%, and a schedule of its own.
+        let light = chaos_soak(&ChaosSoakOptions {
+            fault_rate: 0.1,
+            ..opts
+        });
+        assert_eq!(
+            light.hard_failures, 0,
+            "the stack must absorb 10%: {light:?}"
         );
-    }
-
-    #[test]
-    fn connection_bench_quick_holds_its_invariants() {
-        let bench = connection_bench(true);
-        assert_eq!(bench.requests, 96);
-        assert!(bench.byte_identical, "batch must match singles: {bench:?}");
-        assert!(bench.close_rps > 0.0 && bench.reuse_rps > 0.0);
-        assert!(bench.batch_rps > 0.0 && bench.pipeline_rps > 0.0);
+        assert!(light.availability >= 0.99, "{light:?}");
         assert!(
-            bench.open_loop_p50_us <= bench.open_loop_p95_us
-                && bench.open_loop_p95_us <= bench.open_loop_p99_us
+            light.byte_identical,
+            "retried bytes must match direct: {light:?}"
+        );
+        assert!(
+            light.faults_injected < a.faults_injected,
+            "30% must fault more than 10%: {} vs {}",
+            a.faults_injected,
+            light.faults_injected
+        );
+        assert_ne!(
+            a.schedule_digest, light.schedule_digest,
+            "different rates must draw different schedules"
         );
     }
 }

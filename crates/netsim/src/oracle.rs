@@ -7,7 +7,8 @@
 //! with no class aggregation, no lazy queue integration and no calendar.
 //! That makes it slow (O(groups) per tick at the smallest RTT's cadence)
 //! and easy to trust, which is what an oracle needs. Compiled only for
-//! tests.
+//! tests, together with [`scale_population`], the population the scale
+//! tests run both engines on.
 
 use crate::event::EventQueue;
 use crate::flow::{FlowGroup, FlowState};
@@ -133,6 +134,46 @@ impl FluidSim {
     }
 }
 
+/// The scale population: `flows` flows spread evenly over `groups`
+/// groups, with per-flow caps rotating through four classes around a
+/// 1.2 units/flow fair share (two bind, one sits just above the water
+/// level, one is uncapped) and base RTTs on a lattice of `rtt_classes`
+/// multiples of 20 ms (a matched 80 ms when 1). The event engine
+/// aggregates identical `(RTT, cap)` pairs, so however many groups there
+/// are it steps at most `4 × rtt_classes` classes. The MSS is pinned to
+/// an eighth of the shortest RTT's per-flow bandwidth-delay product, so
+/// the AIMD dynamics stay resolved at every population size.
+pub(crate) fn scale_population(
+    flows: usize,
+    groups: usize,
+    rtt_classes: usize,
+    sim_seconds: f64,
+) -> (Vec<FlowGroup>, SimConfig) {
+    const CAPS: [f64; 4] = [0.6, 1.2, 2.0, 1e6];
+    let rtt = |i: usize| {
+        if rtt_classes == 1 {
+            0.08
+        } else {
+            0.02 * ((i % rtt_classes) + 1) as f64
+        }
+    };
+    let population = (0..groups)
+        .map(|i| {
+            let n = flows / groups + usize::from(i < flows % groups);
+            let cap = CAPS[(i / rtt_classes) % CAPS.len()];
+            FlowGroup::new(format!("g{i}"), n, cap, rtt(i))
+        })
+        .collect();
+    let config = SimConfig {
+        capacity: 1.2 * flows as f64,
+        mss: 1.2 * rtt(0) / 8.0,
+        warmup: sim_seconds / 2.0,
+        measure: sim_seconds / 2.0,
+        ..SimConfig::default()
+    };
+    (population, config)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,33 +183,6 @@ mod tests {
 
     /// The matched base RTT of the scale population (seconds).
     const RTT: f64 = 0.08;
-
-    /// `flows` flows over `groups` groups at a matched 80 ms RTT, with
-    /// per-flow caps rotating through four classes around a 1.2 units/flow
-    /// fair share, so the event engine aggregates them into 4 classes.
-    /// The MSS is pinned to an eighth of a flow's bandwidth-delay product
-    /// so the AIMD dynamics stay resolved at every population size.
-    fn scale_population(
-        flows: usize,
-        groups: usize,
-        sim_seconds: f64,
-    ) -> (Vec<FlowGroup>, SimConfig) {
-        const CAPS: [f64; 4] = [0.6, 1.2, 2.0, 1e6];
-        let population = (0..groups)
-            .map(|i| {
-                let n = flows / groups + usize::from(i < flows % groups);
-                FlowGroup::new(format!("g{i}"), n, CAPS[i % CAPS.len()], RTT)
-            })
-            .collect();
-        let config = SimConfig {
-            capacity: 1.2 * flows as f64,
-            mss: 1.2 * RTT / 8.0,
-            warmup: sim_seconds / 2.0,
-            measure: sim_seconds / 2.0,
-            ..SimConfig::default()
-        };
-        (population, config)
-    }
 
     /// Median wall times of `a` and `b` over `samples` interleaved runs.
     /// Interleaving exposes both engines to the same background load; a
@@ -199,7 +213,7 @@ mod tests {
     /// the matched-RTT scale population, then time both; the divergence
     /// runs double as each engine's warm-up run.
     fn head_to_head(flows: usize, groups: usize, sim_seconds: f64, samples: usize) -> HeadToHead {
-        let (population, config) = scale_population(flows, groups, sim_seconds);
+        let (population, config) = scale_population(flows, groups, 1, sim_seconds);
         let fixed = FluidSim::new(population.clone(), config.clone()).run();
         let event = ScaledSim::new(population.clone(), config.clone(), 1).run();
         let (fixed_ns, event_ns) = median_ns(

@@ -459,7 +459,7 @@ impl ScaledSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::FluidSim;
+    use crate::oracle::{scale_population, FluidSim};
     use crate::validate::compare_report_to_maxmin;
     use pubopt_num::Rng;
 
@@ -550,6 +550,10 @@ mod tests {
         let first = out.report.per_flow_rate[0];
         assert!(out.report.per_flow_rate.iter().all(|r| *r == first));
         assert!(out.report.aggregate > 85.0, "{}", out.report.aggregate);
+        // 2 000 flows over 256 groups at a matched RTT on four cap
+        // classes: many groups, four classes.
+        let (groups, config) = scale_population(2_000, 256, 1, 4.0);
+        assert_eq!(ScaledSim::new(groups, config, 1).class_count(), 4);
     }
 
     #[test]
@@ -599,32 +603,73 @@ mod tests {
         );
     }
 
-    #[test]
-    fn traces_are_bit_identical_across_worker_counts() {
-        let pop_groups = |seed| {
-            let mut rng = Rng::seed_from_u64(seed);
-            (0..96)
-                .map(|i| {
-                    let rtt = rng.uniform(0.02f64.ln(), 0.2f64.ln()).exp();
-                    FlowGroup::new(format!("g{i}"), 2 + (i % 5), 1e9, rtt)
-                })
-                .collect::<Vec<_>>()
-        };
+    /// Run `groups` traced at 1, 2, 4 and 8 workers, require every run to
+    /// match the 1-worker run bit for bit, and return that run.
+    fn run_at_every_worker_count(
+        groups: Vec<FlowGroup>,
+        config: SimConfig,
+        period: f64,
+    ) -> (ScaledReport, Trace) {
         let run = |workers: usize| {
-            let mut sim = ScaledSim::new(pop_groups(5), quick_config(200.0), workers);
-            sim.run_traced(0.5)
+            ScaledSim::new(groups.clone(), config.clone(), workers).run_traced(period)
         };
-        let (r1, t1) = run(1);
+        let bits = |r: &ScaledReport| -> Vec<u64> {
+            r.report.per_flow_rate.iter().map(|x| x.to_bits()).collect()
+        };
+        let (base, base_trace) = run(1);
         for workers in [2, 4, 8] {
-            let (r, t) = run(workers);
-            assert_eq!(t1, t, "trace diverges at {workers} workers");
+            let (out, trace) = run(workers);
+            assert!(trace == base_trace, "trace diverges at {workers} workers");
             assert_eq!(
-                r1.report.per_flow_rate, r.report.per_flow_rate,
+                bits(&out),
+                bits(&base),
                 "report diverges at {workers} workers"
             );
-            assert_eq!(r1.updates, r.updates);
+            assert_eq!(out.updates, base.updates, "updates at {workers} workers");
         }
-        assert!(!t1.is_empty());
+        (base, base_trace)
+    }
+
+    #[test]
+    fn traces_are_bit_identical_across_worker_counts() {
+        let mut rng = Rng::seed_from_u64(5);
+        let groups: Vec<FlowGroup> = (0..96)
+            .map(|i| {
+                let rtt = rng.uniform(0.02f64.ln(), 0.2f64.ln()).exp();
+                FlowGroup::new(format!("g{i}"), 2 + (i % 5), 1e9, rtt)
+            })
+            .collect();
+        let (_, trace) = run_at_every_worker_count(groups, quick_config(200.0), 0.5);
+        assert!(!trace.is_empty());
+
+        // The 16-RTT-class lattice: 128 groups on 16 periods × 4 caps, so
+        // due batches mix periods.
+        let (groups, config) = scale_population(2_000, 128, 16, 4.0);
+        let (out, _) = run_at_every_worker_count(groups, config, 1.0);
+        assert!(
+            out.classes <= 64 && out.updates > 0,
+            "{} classes",
+            out.classes
+        );
+    }
+
+    /// The full-scale drill, release only (the CI netsim-scale job runs
+    /// `cargo test --release -p pubopt-netsim -- --ignored`): a 50 000-flow
+    /// 16-RTT-class lattice stays bit-identical across 1/2/4/8 workers over
+    /// 60 simulated seconds, and a 1 000 000-flow lattice runs to the end
+    /// on at most 64 classes. (The 100 000-flow divergence gate is the
+    /// oracle head-to-head's.)
+    #[test]
+    #[ignore = "full-scale release drill; run with --release --ignored"]
+    fn full_scale_lattice_is_worker_identical_and_reaches_1m_flows() {
+        let (groups, config) = scale_population(50_000, 256, 16, 60.0);
+        run_at_every_worker_count(groups, config, 1.0);
+
+        let (groups, config) = scale_population(1_000_000, 2_048, 16, 60.0);
+        let out = ScaledSim::new(groups, config, 1).run();
+        assert!(out.classes <= 64, "{} classes", out.classes);
+        assert!(out.updates > 0);
+        assert_eq!(out.report.per_flow_rate.len(), 2_048);
     }
 
     #[test]

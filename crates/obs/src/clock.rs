@@ -11,7 +11,7 @@ pub fn unix_seconds() -> u64 {
         .unwrap_or(0)
 }
 
-/// Today's UTC date as `YYYY-MM-DD` (used in `BENCH_<date>.json`).
+/// Today's UTC date as `YYYY-MM-DD` (the `date` of a `repro` run report).
 ///
 /// Honors `SOURCE_DATE_EPOCH` when set, so reports can be made
 /// reproducible in CI.

@@ -9,7 +9,8 @@
 //!
 //! * **feature off (default)** — every recording function is an inlined
 //!   empty body. The instrumented build is indistinguishable from an
-//!   uninstrumented one (the bench harness verifies < 2% kernel delta).
+//!   uninstrumented one (the retired `bench` harness measured < 2%
+//!   kernel delta).
 //! * **feature on** (`--features pubopt-obs/enabled`, or the facade
 //!   crate's `obs` feature) — calls hit the global [`Registry`]:
 //!   counters are relaxed atomic adds, timers feed log₂-bucketed
@@ -23,8 +24,7 @@
 //! `eq.solve_maxmin.calls`, `num.bisect.iters`, `sweep.task_ns`.
 //!
 //! The [`json`] module provides the minimal JSON writer/parser used for
-//! snapshots, bench reports (`BENCH_*.json`) and `repro` run reports —
-//! again dependency-free.
+//! snapshots and `repro` run reports — again dependency-free.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

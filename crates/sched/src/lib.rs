@@ -445,8 +445,8 @@ impl Pool {
     /// The process-wide compute pool, created on first use.
     ///
     /// Sized `max(8, available_parallelism)` so sweep callers can meaning-
-    /// fully request up to 8 workers even on small CI machines (the
-    /// scaling bench's 8-worker point stays a real 8-way claim race).
+    /// fully request up to 8 workers even on small CI machines (an
+    /// 8-worker batch stays a real 8-way claim race).
     pub fn global() -> &'static Pool {
         static GLOBAL: OnceLock<Pool> = OnceLock::new();
         GLOBAL.get_or_init(|| {
@@ -773,6 +773,52 @@ mod tests {
         let _ = pool.map(&[1u8, 2, 3, 4], 2, |&x| x);
         assert_eq!(pool.shared.threads.lock().unwrap().len(), 4);
         pool.join();
+    }
+
+    /// The executor's scaling gate: on a register-only LCG spin (a
+    /// loop-carried multiply and no memory traffic, so only cores and
+    /// executor overhead bound the speedup), 4 workers must run the batch
+    /// at least 1.3× faster than 1. Asserted only where 4 cores exist;
+    /// with fewer the curve is flat by physics. Release only:
+    /// `cargo test --release -p pubopt-sched -- --ignored --nocapture`.
+    #[test]
+    #[ignore = "release timing gate; run with --release --ignored"]
+    fn four_workers_beat_one_by_1_3x_on_four_cores() {
+        fn lcg_spin(x: u64) -> u64 {
+            let mut s = x.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            for _ in 0..2_000 {
+                s = s
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+            }
+            s
+        }
+        let items: Vec<u64> = (0..4096).collect();
+        // Median of 9 timed batches after one warm-up batch.
+        let median_ns = |workers: usize| {
+            let mut ns: Vec<u128> = (0..10)
+                .map(|_| {
+                    let t = Instant::now();
+                    std::hint::black_box(Pool::global().map(&items, workers, |&x| lcg_spin(x)));
+                    t.elapsed().as_nanos()
+                })
+                .skip(1)
+                .collect();
+            ns.sort_unstable();
+            ns[ns.len() / 2]
+        };
+        let (one, four) = (median_ns(1), median_ns(4));
+        let speedup = one as f64 / four.max(1) as f64;
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        println!("1 worker {one} ns, 4 workers {four} ns: {speedup:.2}x on {cores} core(s)");
+        if cores >= 4 {
+            assert!(
+                speedup >= 1.3,
+                "4-worker speedup {speedup:.2} < 1.3 on {cores} cores"
+            );
+        } else {
+            println!("only {cores} core(s): skipping the 1.3x assert");
+        }
     }
 
     #[test]

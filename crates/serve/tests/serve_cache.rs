@@ -318,3 +318,42 @@ fn half_closed_connections_are_tolerated() {
     server.shutdown();
     server.join();
 }
+
+/// The 100 000-flow `/v1/whatif` drill, release only (the CI
+/// netsim-scale job runs it): a cold answer, its cached repeat and a
+/// fresh daemon asked at `workers: 4` are byte-identical — the worker
+/// count is an execution hint outside the cache key — and the simulated
+/// outcome sits inside the §II-D divergence tolerance.
+#[test]
+#[ignore = "100k-flow co-simulation; run with --release --ignored"]
+fn whatif_at_100k_flows_is_byte_identical_cached_and_across_workers() {
+    let question = |workers: usize| {
+        format!(
+            r#"{{"scenario":"trio","nu":0.5,"kappa":0.4,"c":0.05,"flows":100000,"workers":{workers}}}"#
+        )
+    };
+    let ask = |addr, body: &str| {
+        let (status, resp) = client::post(addr, "/v1/whatif", body).unwrap();
+        assert_eq!(status, 200, "{resp}");
+        resp
+    };
+    let server = spawn(&config()).unwrap();
+    let cold = ask(server.addr(), &question(1));
+    let cached = ask(server.addr(), &question(1));
+    assert_eq!(server.cache_stats().hits, 1, "the repeat is a cache hit");
+    server.shutdown();
+    server.join();
+    let wide = spawn(&config()).unwrap();
+    let wide_body = ask(wide.addr(), &question(4));
+    wide.shutdown();
+    wide.join();
+
+    assert_eq!(cached, cold, "cached repeat");
+    assert_eq!(wide_body, cold, "4-worker daemon");
+    let v = pubopt_obs::json::parse(&cold).unwrap();
+    let divergence = v["divergence"]["mean_rel_error"].as_f64().unwrap();
+    assert!(
+        divergence <= 0.12,
+        "whatif divergence {divergence:.4} out of tolerance"
+    );
+}

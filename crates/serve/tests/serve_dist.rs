@@ -153,6 +153,7 @@ fn dist_solve_is_byte_identical_at_2_4_8_shards() {
         }
         // With no faults, every RPC the coordinator books is one query
         // some shard books.
+        assert!(rpcs > 0, "the coordinator must fan out to its {of} shards");
         assert_eq!(coordinator.stat(Stat::DistSolves), 2 * queries.len() as u64);
         assert_eq!(coordinator.stat(Stat::ShardRpcs), rpcs);
         let asked: u64 = shards.iter().map(|s| s.stat(Stat::ShardQueries)).sum();
