@@ -131,7 +131,6 @@ impl SortedDemands {
             self.prefix_mass.push(mass.total());
             self.prefix_load.push(load.total());
         }
-        pubopt_obs::incr("alloc.fast.rebuilds");
     }
 
     /// Refresh the prefix sums from a *throughput* profile, evaluating
@@ -189,7 +188,6 @@ impl SortedDemands {
             nu >= 0.0 && nu.is_finite(),
             "nu must be finite and >= 0, got {nu}"
         );
-        pubopt_obs::incr("alloc.fast.queries");
         let n = self.order.len();
         let total_mass = self.total_mass();
         let offered = self.offered_load();
@@ -237,7 +235,6 @@ impl SortedDemands {
     /// Panics if `w` is NaN or negative.
     pub fn load_at(&self, w: f64) -> f64 {
         assert!(w >= 0.0, "water level must be >= 0 and not NaN, got {w}");
-        pubopt_obs::incr("alloc.fast.load_queries");
         if w.is_infinite() {
             // remaining·w would be 0·∞ = NaN below; the limit is exact.
             return self.offered_load();
@@ -292,13 +289,7 @@ impl ScratchArena {
 
     /// Take a buffer (contents unspecified; callers overwrite).
     pub fn take(&self) -> Vec<f64> {
-        match self.pool.borrow_mut().pop() {
-            Some(buf) => {
-                pubopt_obs::incr("alloc.fast.scratch_reuses");
-                buf
-            }
-            None => Vec::new(),
-        }
+        self.pool.borrow_mut().pop().unwrap_or_default()
     }
 
     /// Return a buffer to the pool for reuse.
@@ -348,8 +339,6 @@ impl MaxMinFast {
         };
         if rebuild {
             *slot = Some(SortedDemands::new(pop));
-        } else {
-            pubopt_obs::incr("alloc.fast.cache_hits");
         }
         let cache = slot.as_mut().expect("cache just ensured");
         cache.set_demands(pop, demands);

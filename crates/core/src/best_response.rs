@@ -65,10 +65,7 @@ fn class_water(pop: &Population, indices: &[usize], capacity: f64, tol: Toleranc
         Ok((eq, _)) => eq
             .water_level
             .expect("max-min solver always reports a water level"),
-        Err(_) => {
-            pubopt_obs::incr("core.class_water.failures");
-            0.0
-        }
+        Err(_) => 0.0,
     }
 }
 
@@ -130,8 +127,8 @@ impl GameWarmStart {
     /// even between best-response rounds at a single point. This is the
     /// solver as it would behave without the warm-start subsystem;
     /// results are bit-identical to [`GameWarmStart::new`] (hints change
-    /// effort, never values). Used by the bench harness to measure the
-    /// `num.warmstart.*` savings.
+    /// effort, never values). Effort A/B tests measure the warm-start
+    /// savings against it.
     pub fn without_hints() -> Self {
         Self {
             carry_hints: false,
@@ -140,7 +137,7 @@ impl GameWarmStart {
     }
 
     /// Water-solver effort accumulated by every solve that used this warm
-    /// start (in-band mirror of the `num.warmstart.*` counters).
+    /// start.
     pub fn effort(&self) -> SweepEffort {
         self.cache
             .as_ref()
@@ -176,10 +173,7 @@ fn class_water_cached(
     cache.bind_subset(pop, indices);
     match cache.water_level(pop, capacity, tol, hint) {
         Ok(w) => w,
-        Err(_) => {
-            pubopt_obs::incr("core.class_water.fallbacks");
-            class_water(pop, indices, capacity, tol)
-        }
+        Err(_) => class_water(pop, indices, capacity, tol),
     }
 }
 
@@ -262,21 +256,7 @@ pub fn competitive_equilibrium_warm(
         nu >= 0.0 && nu.is_finite(),
         "nu must be finite and non-negative"
     );
-    pubopt_obs::incr("core.competitive_eq.calls");
-    if warm.partition.is_some() {
-        pubopt_obs::incr("core.competitive_eq.warm_calls");
-    }
-    let sw = pubopt_obs::Stopwatch::start("core.competitive_eq.ns");
-    let solution = competitive_equilibrium_inner(pop, nu, strategy, tol, warm);
-    pubopt_obs::add(
-        "core.competitive_eq.iters",
-        solution.outcome.iterations as u64,
-    );
-    if solution.cycle_detected {
-        pubopt_obs::incr("core.competitive_eq.cycles");
-    }
-    sw.stop();
-    solution
+    competitive_equilibrium_inner(pop, nu, strategy, tol, warm)
 }
 
 fn competitive_equilibrium_inner(
@@ -347,11 +327,10 @@ fn competitive_equilibrium_inner(
 
     // Phase 1: simultaneous best responses (with hysteresis), warm seed
     // first (when present), cold restart if it cycles.
-    let warm_attempts = usize::from(warm_seed.is_some());
     let starts = warm_seed
         .into_iter()
         .chain(std::iter::once(Partition::all_ordinary(n)));
-    for (attempt, start) in starts.enumerate() {
+    for start in starts {
         partition = start;
         let mut seen: HashSet<Vec<u64>> = HashSet::new();
         let mut rounds = 0usize;
@@ -393,9 +372,6 @@ fn competitive_equilibrium_inner(
         }
         if !cycle_detected {
             break;
-        }
-        if attempt < warm_attempts {
-            pubopt_obs::incr("core.competitive_eq.warm_restarts");
         }
     }
 

@@ -121,7 +121,6 @@ impl MarketGame {
         tol: Tolerance,
         warm: &mut MarketWarmStart,
     ) -> f64 {
-        pubopt_obs::incr("core.market.phi_evals");
         let nu = self.nu_of(idx, m);
         warm.solve(pop, nu, self.isps[idx].strategy, idx, tol)
             .outcome
@@ -228,11 +227,6 @@ impl MarketWarmStart {
         }
     }
 
-    /// Whether this warm start carries state across evaluations.
-    pub fn carries(&self) -> bool {
-        self.mode == WarmMode::Carry
-    }
-
     /// Accumulated water-solver effort across every partition solve this
     /// warm start has performed (all modes, all ISPs).
     pub fn effort(&self) -> SweepEffort {
@@ -322,10 +316,6 @@ pub fn market_share_equilibrium_warm(
     tol: Tolerance,
     warm: &mut MarketWarmStart,
 ) -> MarketEquilibrium {
-    pubopt_obs::incr("core.market.solves");
-    if warm.carries() && !warm.states.is_empty() {
-        pubopt_obs::incr("core.market.warm_solves");
-    }
     let n = game.isps.len();
     if n == 1 {
         let outcome = warm
@@ -578,7 +568,6 @@ pub fn tatonnement_with_policy(
         if eq.converged || attempt + 1 == attempts {
             return eq;
         }
-        pubopt_obs::incr("core.market.tatonnement_retries");
         eta_cur = (eta_cur * policy.damping_backoff).max(f64::MIN_POSITIVE);
         rounds = ((rounds as f64 * policy.budget_growth).ceil() as usize).max(rounds + 1);
     }
@@ -599,7 +588,6 @@ fn tatonnement_once(
     let mut converged = false;
 
     for _ in 0..max_rounds {
-        pubopt_obs::incr("core.market.tatonnement_rounds");
         let phis: Vec<f64> = (0..n)
             .map(|i| game.phi_at(pop, i, shares[i], tol))
             .collect();

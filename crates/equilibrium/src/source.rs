@@ -163,110 +163,94 @@ pub(crate) fn drive<S: AggregateSource>(
         nu >= 0.0 && nu.is_finite(),
         "nu must be finite and non-negative, got {nu}"
     );
-    pubopt_obs::incr("eq.solve_maxmin.calls");
-    let sw = pubopt_obs::Stopwatch::start("eq.solve_maxmin.ns");
-    let solved = (|| -> Result<_, SourceSolveError<S::Error>> {
-        let n = source.len().map_err(SourceSolveError::Source)?;
-        if n == 0 {
-            return Ok((
-                RateEquilibrium {
-                    nu,
-                    thetas: Vec::new(),
-                    demands: Vec::new(),
-                    aggregate: 0.0,
-                    water_level: Some(f64::INFINITY),
-                },
-                SolveStats::default(),
-            ));
-        }
+    let n = source.len().map_err(SourceSolveError::Source)?;
+    if n == 0 {
+        return Ok((
+            RateEquilibrium {
+                nu,
+                thetas: Vec::new(),
+                demands: Vec::new(),
+                aggregate: 0.0,
+                water_level: Some(f64::INFINITY),
+            },
+            SolveStats::default(),
+        ));
+    }
 
-        let total_partials = source
-            .total_unconstrained_partials()
-            .map_err(SourceSolveError::Source)?;
-        let congested = combine_partials(&total_partials) > nu;
+    let total_partials = source
+        .total_unconstrained_partials()
+        .map_err(SourceSolveError::Source)?;
+    let congested = combine_partials(&total_partials) > nu;
 
-        let lambda_evals = Cell::new(0u64);
-        let mut bisect_iters = 0u32;
-        let mut recovery_attempts = 0u32;
-        let water = if !congested {
-            f64::INFINITY
-        } else {
-            let w_hi = source.max_theta_hat().map_err(SourceSolveError::Source)?;
-            // The root finders take infallible closures, so a source
-            // failure is stashed and surfaced as NaN: the root finder
-            // aborts on the non-finite probe, every later probe returns
-            // NaN without touching the source, and the stashed error
-            // wins over whatever the root finder reports.
-            let source = RefCell::new(&mut *source);
-            let failed: RefCell<Option<S::Error>> = RefCell::new(None);
-            let lambda_at = |w: f64| -> f64 {
-                if failed.borrow().is_some() {
-                    return f64::NAN;
+    let lambda_evals = Cell::new(0u64);
+    let mut bisect_iters = 0u32;
+    let mut recovery_attempts = 0u32;
+    let water = if !congested {
+        f64::INFINITY
+    } else {
+        let w_hi = source.max_theta_hat().map_err(SourceSolveError::Source)?;
+        // The root finders take infallible closures, so a source
+        // failure is stashed and surfaced as NaN: the root finder
+        // aborts on the non-finite probe, every later probe returns
+        // NaN without touching the source, and the stashed error
+        // wins over whatever the root finder reports.
+        let source = RefCell::new(&mut *source);
+        let failed: RefCell<Option<S::Error>> = RefCell::new(None);
+        let lambda_at = |w: f64| -> f64 {
+            if failed.borrow().is_some() {
+                return f64::NAN;
+            }
+            lambda_evals.set(lambda_evals.get() + 1);
+            match source.borrow_mut().lambda_partials(w) {
+                Ok(p) => combine_partials(&p),
+                Err(e) => {
+                    *failed.borrow_mut() = Some(e);
+                    f64::NAN
                 }
-                lambda_evals.set(lambda_evals.get() + 1);
-                match source.borrow_mut().lambda_partials(w) {
-                    Ok(p) => combine_partials(&p),
-                    Err(e) => {
-                        *failed.borrow_mut() = Some(e);
-                        f64::NAN
-                    }
-                }
-            };
-            let root = match bisect_counted(|w| lambda_at(w) - nu, 0.0, w_hi, tol) {
-                Ok((w, iters)) => {
-                    bisect_iters = iters;
-                    Ok(w)
-                }
-                Err(_) if failed.borrow().is_none() => {
-                    // Theorem 1's bracket guarantee failed. Retry under
-                    // the recovery policy; Λ is only meaningful for
-                    // w ≥ 0, so clamp probes from bracket widening.
-                    pubopt_obs::incr("eq.solve_maxmin.recoveries");
-                    robust_bisect(|w| lambda_at(w.max(0.0)) - nu, 0.0, w_hi, tol, policy)
-                        .map(|s| {
-                            recovery_attempts = s.diagnostics.attempts_used() as u32;
-                            s.root.max(0.0)
-                        })
-                        .map_err(|e| e.error)
-                }
-                Err(e) => Err(e),
-            };
-            match (root, failed.into_inner()) {
-                (Ok(w), None) => w,
-                (_, Some(e)) => return Err(SourceSolveError::Source(e)),
-                (Err(e), None) => return Err(SourceSolveError::WaterLevel(e)),
             }
         };
+        let root = match bisect_counted(|w| lambda_at(w) - nu, 0.0, w_hi, tol) {
+            Ok((w, iters)) => {
+                bisect_iters = iters;
+                Ok(w)
+            }
+            Err(_) if failed.borrow().is_none() => {
+                // Theorem 1's bracket guarantee failed. Retry under
+                // the recovery policy; Λ is only meaningful for
+                // w ≥ 0, so clamp probes from bracket widening.
+                robust_bisect(|w| lambda_at(w.max(0.0)) - nu, 0.0, w_hi, tol, policy)
+                    .map(|s| {
+                        recovery_attempts = s.diagnostics.attempts_used() as u32;
+                        s.root.max(0.0)
+                    })
+                    .map_err(|e| e.error)
+            }
+            Err(e) => Err(e),
+        };
+        match (root, failed.into_inner()) {
+            (Ok(w), None) => w,
+            (_, Some(e)) => return Err(SourceSolveError::Source(e)),
+            (Err(e), None) => return Err(SourceSolveError::WaterLevel(e)),
+        }
+    };
 
-        let profile = source.profile(water).map_err(SourceSolveError::Source)?;
-        let aggregate = combine_partials(&profile.aggregate_partials);
-        let stats = SolveStats {
+    let profile = source.profile(water).map_err(SourceSolveError::Source)?;
+    let aggregate = combine_partials(&profile.aggregate_partials);
+    Ok((
+        RateEquilibrium {
+            nu,
+            thetas: profile.thetas,
+            demands: profile.demands,
+            aggregate,
+            water_level: Some(water),
+        },
+        SolveStats {
             lambda_evals: lambda_evals.get(),
             bisect_iters,
             congested,
             recovery_attempts,
-        };
-        pubopt_obs::add("eq.solve_maxmin.lambda_evals", stats.lambda_evals);
-        pubopt_obs::add(
-            "eq.solve_maxmin.bisect_iters",
-            u64::from(stats.bisect_iters),
-        );
-        Ok((
-            RateEquilibrium {
-                nu,
-                thetas: profile.thetas,
-                demands: profile.demands,
-                aggregate,
-                water_level: Some(water),
-            },
-            stats,
-        ))
-    })();
-    sw.stop();
-    if solved.is_err() {
-        pubopt_obs::incr("eq.solve_maxmin.failures");
-    }
-    solved
+        },
+    ))
 }
 
 /// Per-block Λ(w) partials of a population slice — the shard-side probe

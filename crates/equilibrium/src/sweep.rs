@@ -27,9 +27,8 @@
 //! [`solve_maxmin`](crate::solve_maxmin), results agree to the root
 //! tolerance but not bitwise: the bisection trajectory differs.)
 //!
-//! The module reports its effort both in-band ([`SweepEffort`], so tests
-//! and benches work without the `obs` feature) and through the
-//! `num.warmstart.*` observability counters.
+//! The module reports its effort in-band, as a [`SweepEffort`] carried in
+//! the cache.
 
 use crate::solver::{try_solve_maxmin, EquilibriumError, RateEquilibrium, SolveStats};
 use pubopt_demand::columnar::{eval_demand, family_params};
@@ -59,9 +58,8 @@ impl WarmStart {
     }
 }
 
-/// Solver-effort counters accumulated by a [`SweepCache`] — the in-band
-/// mirror of the `num.warmstart.*` observability counters, carried in the
-/// cache so effort A/Bs work in builds with instrumentation compiled out.
+/// Solver-effort counters accumulated by a [`SweepCache`], read by effort
+/// A/B tests and the benchmark's traced runs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SweepEffort {
     /// Water-level solves performed (congested points only).
@@ -194,7 +192,6 @@ impl SweepCache {
     }
 
     fn rebuild_prefixes(&mut self, pop: &Population) {
-        pubopt_obs::incr("num.warmstart.rebinds");
         self.breaks.clear();
         self.s_alpha.clear();
         self.s_fam.clear();
@@ -310,11 +307,9 @@ impl SweepCache {
         if m == 0 || self.total_hat <= nu {
             return Ok(f64::INFINITY);
         }
-        pubopt_obs::incr("num.warmstart.calls");
         self.bump(|e| e.solves += 1);
         let hint = warm.segment;
         if hint.is_some() {
-            pubopt_obs::incr("num.warmstart.warm_calls");
             self.bump(|e| e.warm_solves += 1);
         }
 
@@ -397,14 +392,8 @@ impl SweepCache {
             Ok(seg)
         })()?;
         self.bump(|e| e.segment_probes += probes.get());
-        pubopt_obs::add("num.warmstart.segment_probes", probes.get());
-        if let Some(h) = hint {
-            if h.abs_diff(seg) <= 1 {
-                self.bump(|e| e.warm_hits += 1);
-                pubopt_obs::incr("num.warmstart.hits");
-            } else {
-                pubopt_obs::incr("num.warmstart.misses");
-            }
+        if hint.is_some_and(|h| h.abs_diff(seg) <= 1) {
+            self.bump(|e| e.warm_hits += 1);
         }
 
         // Phase 2: refine inside [θ̂_(seg−1), θ̂_(seg)] (left edge 0 for
@@ -414,7 +403,6 @@ impl SweepCache {
         let hi = self.breaks[seg];
         let (w, iters) = bisect_counted(|w| self.lambda_from(seg, w) - nu, lo, hi, tol)?;
         self.bump(|e| e.bisect_iters += u64::from(iters));
-        pubopt_obs::add("num.warmstart.bisect_iters", u64::from(iters));
         warm.segment = Some(seg);
         Ok(w.max(0.0))
     }

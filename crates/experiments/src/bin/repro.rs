@@ -35,14 +35,8 @@ use std::process::ExitCode;
 /// One structured JSONL line per figure run (appended to
 /// `<out>/report.jsonl`): wall time, sweep health (`status` +
 /// recovered/failed point counts), per-check verdicts, output files, and
-/// — when the `obs` feature is enabled — the delta of the metrics
-/// registry over the run (solver calls, bisect iterations, sweep timing).
-fn report_line(
-    result: &FigureResult,
-    wall_s: f64,
-    obs_delta: Option<Value>,
-    svg_errors: &[String],
-) -> String {
+/// any SVG rendering errors.
+fn report_line(result: &FigureResult, wall_s: f64, svg_errors: &[String]) -> String {
     let checks = result
         .checks
         .iter()
@@ -87,9 +81,6 @@ fn report_line(
             "svg_errors".into(),
             Value::Array(svg_errors.iter().map(|e| Value::from(e.as_str())).collect()),
         ));
-    }
-    if let Some(obs) = obs_delta {
-        fields.push(("obs".into(), obs));
     }
     Value::Object(fields).to_string()
 }
@@ -217,12 +208,8 @@ fn main() -> ExitCode {
     for id in &ids {
         let start = std::time::Instant::now();
         eprintln!("=== {id} ===");
-        if pubopt_obs::enabled() {
-            pubopt_obs::reset();
-        }
         let result = run_figure(id, &config);
         let wall_s = start.elapsed().as_secs_f64();
-        let obs_delta = pubopt_obs::enabled().then(|| (&pubopt_obs::snapshot()).into());
         println!("{}", result.summary);
         if result.status != FigureStatus::Ok {
             eprintln!(
@@ -252,7 +239,7 @@ fn main() -> ExitCode {
                 }
             }
         }
-        report_lines.push(report_line(&result, wall_s, obs_delta, &svg_errors));
+        report_lines.push(report_line(&result, wall_s, &svg_errors));
         eprintln!("=== {id} done in {wall_s:.1}s ===\n");
     }
 

@@ -82,9 +82,12 @@ pub fn run(config: &Config) -> FigureResult {
 mod tests {
     use super::*;
 
-    fn cfg() -> Config {
+    /// One output directory per test: the tests run in parallel, and one
+    /// of them rewriting `fig2.csv` while the other reads it back hands
+    /// the reader an empty file.
+    fn cfg(test: &str) -> Config {
         Config {
-            out_dir: std::env::temp_dir().join("pubopt-fig2-test"),
+            out_dir: std::env::temp_dir().join(format!("pubopt-fig2-{test}")),
             fast: true,
             threads: 1,
             ..Config::default()
@@ -93,7 +96,7 @@ mod tests {
 
     #[test]
     fn all_checks_pass() {
-        let r = run(&cfg());
+        let r = run(&cfg("checks"));
         assert!(r.all_passed(), "{:#?}", r.checks);
         assert_eq!(r.id, "fig2");
         assert_eq!(r.files.len(), 1);
@@ -101,7 +104,7 @@ mod tests {
 
     #[test]
     fn csv_has_expected_columns() {
-        let r = run(&cfg());
+        let r = run(&cfg("columns"));
         let content = std::fs::read_to_string(&r.files[0]).unwrap();
         let header = content.lines().next().unwrap();
         assert!(header.contains("beta_0.1") && header.contains("beta_10"));

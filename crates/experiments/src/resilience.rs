@@ -116,7 +116,6 @@ where
                 Ok(Ok(r)) => {
                     out[i] = Some(r);
                     stats.recovered += 1;
-                    pubopt_obs::incr("sweep.points_recovered");
                     repaired = true;
                     break;
                 }
@@ -126,7 +125,6 @@ where
         }
         if !repaired {
             stats.failed += 1;
-            pubopt_obs::incr("sweep.points_lost");
             stats.failures.push((i, last));
         }
     }
@@ -174,12 +172,10 @@ where
                 match catch_unwind(AssertUnwindSafe(|| f(&mut state, item, i, 0))) {
                     Ok(Ok(r)) => out.push((Some(r), None)),
                     Ok(Err(m)) => {
-                        pubopt_obs::incr("sweep.task_failures");
                         out.push((None, Some(m)));
                         state = init();
                     }
                     Err(payload) => {
-                        pubopt_obs::incr("sweep.task_panics");
                         out.push((None, Some(panic_message(payload.as_ref()))));
                         state = init();
                     }
@@ -213,7 +209,6 @@ where
                 Ok(Ok(r)) => {
                     out[i] = Some(r);
                     stats.recovered += 1;
-                    pubopt_obs::incr("sweep.points_recovered");
                     repaired = true;
                     break;
                 }
@@ -223,7 +218,6 @@ where
         }
         if !repaired {
             stats.failed += 1;
-            pubopt_obs::incr("sweep.points_lost");
             stats.failures.push((i, last));
         }
     }

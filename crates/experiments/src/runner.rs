@@ -12,10 +12,6 @@
 //! caps how many pool workers join a given sweep (the submitting thread
 //! participates and counts as one); `threads == 1` runs inline with no
 //! pool traffic at all.
-//!
-//! When the observability feature is on, each sweep records task counts
-//! and per-task latency under `sweep.*`; the executor itself reports
-//! steal/park/busy behaviour under `sched.*`.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -89,22 +85,7 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    // Empty input is a no-op: no counters, no stopwatch — an empty sweep
-    // must not inflate `sweep.workers` or the latency histograms.
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let threads = threads.max(1).min(items.len());
-    pubopt_obs::incr("sweep.calls");
-    pubopt_obs::add("sweep.tasks", items.len() as u64);
-    pubopt_obs::add("sweep.workers", threads as u64);
-
-    let sweep = pubopt_obs::Stopwatch::start("sweep.total_ns");
-    let out = pubopt_sched::Pool::global().map(items, threads, |item| {
-        pubopt_obs::time("sweep.task_ns", || f(item))
-    });
-    sweep.stop();
-    out
+    pubopt_sched::Pool::global().map(items, threads, f)
 }
 
 /// Apply `f` to fixed-length chunks of `items` across `threads` workers,
@@ -162,35 +143,16 @@ where
     R: Send,
     F: Fn(&T) -> Result<R, String> + Sync,
 {
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let threads = threads.max(1).min(items.len());
-    pubopt_obs::incr("sweep.calls");
-    pubopt_obs::add("sweep.tasks", items.len() as u64);
-    pubopt_obs::add("sweep.workers", threads as u64);
-
-    let sweep = pubopt_obs::Stopwatch::start("sweep.total_ns");
     // `catch_unwind` *inside* the mapped closure: a faulted task records
     // its outcome in its own slot and the batch itself never poisons, so
     // the executor's workers keep draining healthy indices.
-    let out = pubopt_sched::Pool::global().map(items, threads, |item| {
-        pubopt_obs::time("sweep.task_ns", || {
-            match catch_unwind(AssertUnwindSafe(|| f(item))) {
-                Ok(Ok(r)) => TaskOutcome::Ok(r),
-                Ok(Err(msg)) => {
-                    pubopt_obs::incr("sweep.task_failures");
-                    TaskOutcome::Failed(msg)
-                }
-                Err(payload) => {
-                    pubopt_obs::incr("sweep.task_panics");
-                    TaskOutcome::Panicked(panic_message(payload.as_ref()))
-                }
-            }
-        })
-    });
-    sweep.stop();
-    out
+    pubopt_sched::Pool::global().map(items, threads, |item| {
+        match catch_unwind(AssertUnwindSafe(|| f(item))) {
+            Ok(Ok(r)) => TaskOutcome::Ok(r),
+            Ok(Err(msg)) => TaskOutcome::Failed(msg),
+            Err(payload) => TaskOutcome::Panicked(panic_message(payload.as_ref())),
+        }
+    })
 }
 
 #[cfg(test)]
@@ -213,6 +175,8 @@ mod tests {
     #[test]
     fn empty_input() {
         let out: Vec<i32> = parallel_map(&[] as &[i32], 4, |&x| x);
+        assert!(out.is_empty());
+        let out = parallel_try_map(&[] as &[i32], 4, |&x| Ok::<_, String>(x));
         assert!(out.is_empty());
     }
 
@@ -350,28 +314,6 @@ mod tests {
                 assert_eq!(o.as_ok(), Some(&(x ^ 0x5A5A)));
             }
         }
-    }
-
-    #[test]
-    fn empty_input_touches_no_sweep_counters() {
-        // Satellite fix: an empty sweep used to bump sweep.workers and
-        // start a stopwatch; it must be a pure no-op now. Other tests in
-        // this binary bump sweep.* concurrently, so retry until a quiet
-        // window shows a zero delta (one clean observation proves the
-        // empty path touches nothing).
-        let observed_quiet = (0..50).any(|_| {
-            let before = pubopt_obs::snapshot();
-            let out: Vec<u64> = parallel_map(&[] as &[u64], 8, |&x| x);
-            assert!(out.is_empty());
-            let try_out: Vec<TaskOutcome<u64>> =
-                parallel_try_map(&[] as &[u64], 8, |&x| Ok::<_, String>(x));
-            assert!(try_out.is_empty());
-            let after = pubopt_obs::snapshot();
-            ["sweep.calls", "sweep.workers", "sweep.tasks"]
-                .iter()
-                .all(|c| after.counter(c).unwrap_or(0) == before.counter(c).unwrap_or(0))
-        });
-        assert!(observed_quiet, "empty sweeps must not touch sweep.*");
     }
 
     #[test]

@@ -112,15 +112,12 @@ fn num(x: f64) -> String {
 /// roughly 45% equilibrium, 45% strategy, 10% capacity — strategy solves
 /// dominate cold cost, equilibrium dominates count in real use, capacity
 /// keeps the slowest endpoint honest.
-fn pool_entry(rng: &mut Rng, scenario_n: usize) -> (String, String) {
-    pool_entry_mixed(rng, scenario_n, 0.0)
-}
-
-/// [`pool_entry`] with a `/v1/whatif` slice carved off the top:
-/// a draw below `whatif_ratio` becomes a co-simulation query, the rest of
-/// the unit interval rescales onto the historical three-endpoint mixture
-/// (so `whatif_ratio == 0.0` reproduces the old stream exactly — same
-/// seed, same bytes).
+///
+/// A `/v1/whatif` slice is carved off the top: a draw below
+/// `whatif_ratio` becomes a co-simulation query, and the rest of the unit
+/// interval rescales onto the three-endpoint mixture (so
+/// `whatif_ratio == 0.0` reproduces the stream from before the carve-out
+/// exactly — same seed, same bytes).
 fn pool_entry_mixed(rng: &mut Rng, scenario_n: usize, whatif_ratio: f64) -> (String, String) {
     let raw = rng.next_f64();
     if raw < whatif_ratio {
@@ -804,7 +801,7 @@ pub fn chaos_soak(opts: &ChaosSoakOptions) -> ChaosSoakSummary {
     // unless a fault corrupted what the retry loop accepted.
     let mut rng = Rng::seed_from_u64(opts.seed);
     let probes: Vec<(String, String)> = (0..opts.pool.min(3))
-        .map(|_| pool_entry(&mut rng, opts.scenario_n))
+        .map(|_| pool_entry_mixed(&mut rng, opts.scenario_n, 0.0))
         .collect();
     let mut prober = soak_client(proxy_addr, opts, clients as u64);
     let byte_identical = probes.iter().all(|(path, body)| {
@@ -861,6 +858,7 @@ pub fn chaos_soak(opts: &ChaosSoakOptions) -> ChaosSoakSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pubopt_num::chaos::ChaosInjector;
 
     #[test]
     fn workload_is_deterministic_and_pool_bounded() {
@@ -909,24 +907,26 @@ mod tests {
 
     #[test]
     fn zero_whatif_ratio_reproduces_the_historical_stream() {
-        // The ratio carve-out rescales the mixture instead of shifting
-        // it, so existing seeded workloads (the CI smokes) are
-        // byte-for-byte unchanged at ratio 0.
-        let base = LoadOptions {
-            requests: 50,
-            pool: 12,
-            scenario_n: 16,
-            ..LoadOptions::default()
-        };
-        let mut rng = Rng::seed_from_u64(base.seed);
-        let legacy: Vec<(String, String)> = (0..base.pool)
-            .map(|_| pool_entry(&mut rng, base.scenario_n))
+        // CI's loadgen smokes replay `--seed 7` at the default options
+        // (ratio 0, pool 24, n 60), so their requests are exactly this
+        // stream. The first entry and the FNV-1a digest of every byte
+        // are pinned: a change to the generator, the what-if carve-out
+        // included, fails here instead of silently moving the smokes.
+        let stream = mixed_workload(&LoadOptions::default());
+        assert_eq!(stream.len(), 200);
+        assert_eq!(
+            stream[0],
+            (
+                "/v1/equilibrium".to_owned(),
+                r#"{"scenario":"paper","n":60,"nu":11.572786355000055,"include_profile":false}"#
+                    .to_owned()
+            )
+        );
+        let text: String = stream
+            .iter()
+            .map(|(path, body)| format!("{path}\n{body}\n"))
             .collect();
-        let mut rng = Rng::seed_from_u64(base.seed);
-        let mixed: Vec<(String, String)> = (0..base.pool)
-            .map(|_| pool_entry_mixed(&mut rng, base.scenario_n, 0.0))
-            .collect();
-        assert_eq!(legacy, mixed);
+        assert_eq!(ChaosInjector::site(&text), 0x45bd_60ba_023f_3007);
     }
 
     #[test]

@@ -57,10 +57,7 @@ pub fn run(config: &Config) -> FigureResult {
                     .map(|(a, b)| (a - b).abs() / (1.0 + a.abs()))
                     .fold(0.0f64, f64::max),
             ),
-            Err(_) => {
-                pubopt_obs::incr("solvers.generic_failures");
-                None
-            }
+            Err(_) => None,
         };
         (f, max_dev)
     });

@@ -241,8 +241,6 @@ impl ScaledSim {
             self.config.measure > 0.0,
             "measure duration must be positive"
         );
-        pubopt_obs::incr("netsim.scaled_runs");
-        let sw = pubopt_obs::Stopwatch::start("netsim.scaled_run_ns");
         let warmup = self.config.warmup;
         let stop_t = warmup + self.config.measure;
         let measure = self.config.measure;
@@ -422,10 +420,6 @@ impl ScaledSim {
             }
             cal.maybe_shrink();
         }
-
-        pubopt_obs::add("netsim.scaled_updates", updates);
-        pubopt_obs::add("netsim.scaled_events", events);
-        sw.stop();
 
         let class_rate: Vec<f64> = self.classes.iter().map(|c| c.goodput / measure).collect();
         let per_flow_rate = self

@@ -88,7 +88,6 @@ pub fn fixed_point(
     x0: Vec<f64>,
     opts: FixedPointOptions,
 ) -> Result<FixedPointResult, FixedPointError> {
-    pubopt_obs::incr("num.fixed_point.calls");
     let n = x0.len();
     let mut x = x0;
     let mut residual = f64::INFINITY;
@@ -112,7 +111,6 @@ pub fn fixed_point(
             .chain(fx.iter())
             .fold(0.0f64, |m, v| m.max(v.abs()));
         if residual <= opts.tol.abs + opts.tol.rel * scale {
-            pubopt_obs::add("num.fixed_point.iters", (it + 1) as u64);
             return Ok(FixedPointResult {
                 value: fx,
                 iterations: it + 1,
@@ -123,8 +121,6 @@ pub fn fixed_point(
             x[i] += opts.damping * (fx[i] - x[i]);
         }
     }
-    pubopt_obs::add("num.fixed_point.iters", opts.tol.max_iter as u64);
-    pubopt_obs::incr("num.fixed_point.failures");
     Err(FixedPointError::MaxIterations { best: x, residual })
 }
 

@@ -230,7 +230,6 @@ pub fn robust_bisect(
     tol: Tolerance,
     policy: &SolverPolicy,
 ) -> Result<RootSolve, RobustRootError> {
-    pubopt_obs::incr("num.recover.bisect.calls");
     robust_root(f, lo, hi, tol, policy, |f, lo, hi, tol| {
         bisect(f, lo, hi, tol)
     })
@@ -248,7 +247,6 @@ pub fn robust_brent(
     tol: Tolerance,
     policy: &SolverPolicy,
 ) -> Result<RootSolve, RobustRootError> {
-    pubopt_obs::incr("num.recover.brent.calls");
     robust_root(f, lo, hi, tol, policy, |f, lo, hi, tol| {
         brent(f, lo, hi, tol)
     })
@@ -272,22 +270,17 @@ fn robust_root<F: FnMut(f64) -> f64>(
         match solve(&mut f, lo, hi, tol) {
             Ok(root) => {
                 diagnostics.record(action, None);
-                if diagnostics.recovered() {
-                    pubopt_obs::incr("num.recover.recovered");
-                }
                 return Ok(RootSolve { root, diagnostics });
             }
             Err(err) => {
                 diagnostics.record(action, Some(err.to_string()));
                 attempt += 1;
                 if attempt >= policy.max_attempts {
-                    pubopt_obs::incr("num.recover.failures");
                     return Err(RobustRootError {
                         error: err,
                         diagnostics,
                     });
                 }
-                pubopt_obs::incr("num.recover.attempts");
                 action = match err {
                     RootError::NotBracketed { .. } => {
                         // Widen geometrically around the midpoint; an
@@ -296,12 +289,10 @@ fn robust_root<F: FnMut(f64) -> f64>(
                         let half = (0.5 * (hi - lo)).max(tol.abs.max(1e-12));
                         lo = mid - half * policy.bracket_widen;
                         hi = mid + half * policy.bracket_widen;
-                        pubopt_obs::incr("num.recover.widened");
                         RecoveryAction::WidenBracket { lo, hi }
                     }
                     RootError::MaxIterations { .. } => {
                         tol.max_iter = budget_after(tol.max_iter, policy.budget_growth);
-                        pubopt_obs::incr("num.recover.budget_escalated");
                         RecoveryAction::EscalateBudget {
                             max_iter: tol.max_iter,
                         }
@@ -319,13 +310,11 @@ fn robust_root<F: FnMut(f64) -> f64>(
                         } else {
                             // Both endpoints are singular: nothing to
                             // anchor a shrink on.
-                            pubopt_obs::incr("num.recover.failures");
                             return Err(RobustRootError {
                                 error: err,
                                 diagnostics,
                             });
                         }
-                        pubopt_obs::incr("num.recover.shrunk");
                         RecoveryAction::ShrinkTowardFinite { lo, hi }
                     }
                 };
@@ -350,7 +339,6 @@ pub fn robust_fixed_point(
     policy: &SolverPolicy,
 ) -> Result<FixedPointSolve, RobustFixedPointError> {
     policy.validate();
-    pubopt_obs::incr("num.recover.fixed_point.calls");
     let mut diagnostics = SolveDiagnostics::default();
     let mut action = RecoveryAction::Initial;
     let mut opts = opts;
@@ -360,9 +348,6 @@ pub fn robust_fixed_point(
         match fixed_point(&mut map, start.clone(), opts) {
             Ok(result) => {
                 diagnostics.record(action, None);
-                if diagnostics.recovered() {
-                    pubopt_obs::incr("num.recover.recovered");
-                }
                 return Ok(FixedPointSolve {
                     result,
                     diagnostics,
@@ -373,13 +358,11 @@ pub fn robust_fixed_point(
                 attempt += 1;
                 let retryable = !matches!(err, FixedPointError::DimensionMismatch { .. });
                 if attempt >= policy.max_attempts || !retryable {
-                    pubopt_obs::incr("num.recover.failures");
                     return Err(RobustFixedPointError {
                         error: err,
                         diagnostics,
                     });
                 }
-                pubopt_obs::incr("num.recover.attempts");
                 action = match err {
                     FixedPointError::MaxIterations { best, .. } => {
                         // An oscillating iterate needs gentler steps; a
@@ -388,7 +371,6 @@ pub fn robust_fixed_point(
                         opts.damping *= policy.damping_backoff;
                         opts.tol.max_iter = budget_after(opts.tol.max_iter, policy.budget_growth);
                         start = best;
-                        pubopt_obs::incr("num.recover.damping_backoff");
                         RecoveryAction::ReduceDamping {
                             damping: opts.damping,
                         }
@@ -398,7 +380,6 @@ pub fn robust_fixed_point(
                         // trajectory that may dodge the singular region.
                         opts.damping *= policy.damping_backoff;
                         start = x0.clone();
-                        pubopt_obs::incr("num.recover.damping_backoff");
                         RecoveryAction::ReduceDamping {
                             damping: opts.damping,
                         }

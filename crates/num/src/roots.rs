@@ -73,19 +73,14 @@ pub fn bisect(
 }
 
 /// [`bisect`], additionally reporting the number of interval halvings it
-/// performed.
-///
-/// The count is returned (not just recorded in the observability
-/// registry) so callers that report solver effort — the bench binary,
-/// `repro` run reports — work in builds with instrumentation compiled
-/// out.
+/// performed, so callers can report solver effort with each answer
+/// (`SolveStats::bisect_iters`, `SweepEffort::bisect_iters`).
 pub fn bisect_counted(
     mut f: impl FnMut(f64) -> f64,
     lo: f64,
     hi: f64,
     tol: Tolerance,
 ) -> Result<(f64, u32), RootError> {
-    pubopt_obs::incr("num.bisect.calls");
     let (mut lo, mut hi) = if lo <= hi { (lo, hi) } else { (hi, lo) };
     let mut f_lo = f(lo);
     let f_hi = f(hi);
@@ -104,21 +99,17 @@ pub fn bisect_counted(
     if f_lo.signum() == f_hi.signum() {
         return Err(RootError::NotBracketed { f_lo, f_hi });
     }
-    fn done(root: f64, iters: usize) -> (f64, u32) {
-        pubopt_obs::add("num.bisect.iters", iters as u64);
-        (root, iters as u32)
-    }
     for iter in 0..tol.max_iter {
         let mid = 0.5 * (lo + hi);
         if tol.interval_resolved(lo, hi) {
-            return Ok(done(mid, iter));
+            return Ok((mid, iter as u32));
         }
         let f_mid = f(mid);
         if !f_mid.is_finite() {
             return Err(RootError::NonFinite { at: mid });
         }
         if f_mid == 0.0 {
-            return Ok(done(mid, iter + 1));
+            return Ok((mid, (iter + 1) as u32));
         }
         if f_mid.signum() == f_lo.signum() {
             lo = mid;
@@ -127,8 +118,6 @@ pub fn bisect_counted(
             hi = mid;
         }
     }
-    pubopt_obs::add("num.bisect.iters", tol.max_iter as u64);
-    pubopt_obs::incr("num.bisect.budget_exhausted");
     Err(RootError::MaxIterations {
         best: 0.5 * (lo + hi),
     })
@@ -145,7 +134,6 @@ pub fn brent(
     hi: f64,
     tol: Tolerance,
 ) -> Result<f64, RootError> {
-    pubopt_obs::incr("num.brent.calls");
     let (mut a, mut b) = if lo <= hi { (lo, hi) } else { (hi, lo) };
     let mut fa = f(a);
     let mut fb = f(b);
@@ -172,9 +160,8 @@ pub fn brent(
     let mut fc = fa;
     let mut d = b - a;
     let mut mflag = true;
-    for iter in 0..tol.max_iter {
+    for _ in 0..tol.max_iter {
         if tol.interval_resolved(a.min(b), a.max(b)) || fb == 0.0 {
-            pubopt_obs::add("num.brent.iters", iter as u64);
             return Ok(b);
         }
         let mut s = if fa != fc && fb != fc {
@@ -225,8 +212,6 @@ pub fn brent(
             std::mem::swap(&mut fa, &mut fb);
         }
     }
-    pubopt_obs::add("num.brent.iters", tol.max_iter as u64);
-    pubopt_obs::incr("num.brent.budget_exhausted");
     Err(RootError::MaxIterations { best: b })
 }
 

@@ -1,8 +1,8 @@
 //! Minimal JSON: a [`Value`] tree, a compact writer (`Display`) and a
 //! strict recursive-descent parser.
 //!
-//! Exists so snapshots, `repro` run reports and the daemon's JSON bodies
-//! need no external serialization crates. Only what those call sites use is
+//! Exists so `repro` run reports and the daemon's JSON bodies need no
+//! external serialization crates. Only what those call sites use is
 //! implemented; numbers are `f64` (integral values up to 2⁵³ round-trip
 //! exactly, plenty for nanosecond counts).
 

@@ -14,8 +14,8 @@
 //!   one cache-line-padded range block per prospective worker. Each
 //!   worker claims chunks from the *front* of its home block and, when
 //!   that runs dry, steals half the remainder from the *back* of a
-//!   victim's block (`sched.steals` counts these). Front/back separation
-//!   keeps the owner and its thieves off the same end of the deque.
+//!   victim's block. Front/back separation keeps the owner and its
+//!   thieves off the same end of the deque.
 //! * **Adaptive chunk claiming.** The first claim takes a single index as
 //!   a probe; after that a worker sizes claims so one chunk costs about
 //!   [`TARGET_CHUNK_NS`] of work (per-item cost tracked by a running
@@ -283,7 +283,6 @@ impl Batch {
         }
         for off in 1..k {
             if let Some(r) = self.blocks[(home + off) % k].steal_back(want) {
-                pubopt_obs::incr("sched.steals");
                 return Some(r);
             }
         }
@@ -319,7 +318,6 @@ impl Batch {
     /// One worker's (or the caller's) work session on this batch: claim
     /// adaptively-sized ranges until the batch runs dry.
     fn work(&self, home: usize) {
-        let busy = pubopt_obs::Stopwatch::start("sched.worker_busy_ns");
         let mut est_ns: u64 = 0;
         loop {
             // First claim is a single-index probe; after that, size claims
@@ -348,7 +346,6 @@ impl Batch {
                 }
             }
         }
-        busy.stop();
     }
 }
 
@@ -359,12 +356,15 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 struct Injector {
     jobs: VecDeque<Job>,
     batches: Vec<Arc<Batch>>,
+    /// Set by [`Pool::shutdown`]. It lives under the same lock a worker
+    /// holds from checking it to parking on `work_cv`, so the shutdown
+    /// notify cannot land in between and be lost.
+    shutdown: bool,
 }
 
 struct Shared {
     injector: Mutex<Injector>,
     work_cv: Condvar,
-    shutdown: AtomicBool,
     workers: usize,
     started: Mutex<bool>,
     threads: Mutex<Vec<JoinHandle<()>>>,
@@ -385,12 +385,10 @@ fn worker_loop(shared: &Shared, wid: usize) {
                 if let Some(b) = inj.batches.iter().find(|b| b.try_attach()) {
                     break Some(Work::Batch(Arc::clone(b)));
                 }
-                if shared.shutdown.load(Ordering::SeqCst) {
+                if inj.shutdown {
                     break None;
                 }
-                pubopt_obs::incr("sched.park");
                 inj = shared.work_cv.wait(inj).expect("sched: injector poisoned");
-                pubopt_obs::incr("sched.unpark");
             }
         };
         match work {
@@ -398,9 +396,7 @@ fn worker_loop(shared: &Shared, wid: usize) {
             Some(Work::Job(job)) => {
                 // A panicking job must not take the worker thread down:
                 // the pool outlives any one submitter's failure.
-                if catch_unwind(AssertUnwindSafe(job)).is_err() {
-                    pubopt_obs::incr("sched.job_panics");
-                }
+                let _ = catch_unwind(AssertUnwindSafe(job));
             }
             Some(Work::Batch(batch)) => {
                 // Home block `wid + 1`: block 0 is the submitting
@@ -432,9 +428,9 @@ impl Pool {
                 injector: Mutex::new(Injector {
                     jobs: VecDeque::new(),
                     batches: Vec::new(),
+                    shutdown: false,
                 }),
                 work_cv: Condvar::new(),
-                shutdown: AtomicBool::new(false),
                 workers: workers.max(1),
                 started: Mutex::new(false),
                 threads: Mutex::new(Vec::new()),
@@ -511,7 +507,6 @@ impl Pool {
             "batch of {n} items exceeds u32 index packing"
         );
         self.ensure_started();
-        pubopt_obs::incr("sched.batches");
 
         let slots: Vec<Slot<R>> = (0..n).map(|_| Slot(UnsafeCell::new(None))).collect();
         let ctx = MapCtx::<T, R, F> {
@@ -572,8 +567,8 @@ impl Pool {
     }
 
     /// Enqueue a fire-and-forget job. Jobs run on pool threads in FIFO
-    /// order relative to other jobs; a panicking job is caught and
-    /// counted (`sched.job_panics`), never killing the worker.
+    /// order relative to other jobs; a panicking job is caught, never
+    /// killing the worker.
     pub fn spawn_job(&self, job: impl FnOnce() + Send + 'static) {
         self.ensure_started();
         {
@@ -584,7 +579,6 @@ impl Pool {
                 .expect("sched: injector poisoned");
             inj.jobs.push_back(Box::new(job));
         }
-        pubopt_obs::incr("sched.jobs");
         self.shared.work_cv.notify_one();
     }
 
@@ -602,7 +596,11 @@ impl Pool {
     /// Ask the workers to exit once the job backlog is drained and no
     /// batch needs them. Idempotent; in-flight work finishes.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared
+            .injector
+            .lock()
+            .expect("sched: injector poisoned")
+            .shutdown = true;
         self.shared.work_cv.notify_all();
     }
 
@@ -764,6 +762,27 @@ mod tests {
         pool.join(); // would panic on a dead worker thread
         std::panic::set_hook(hook);
         assert!(done.load(Ordering::SeqCst), "worker survived the panic");
+    }
+
+    #[test]
+    fn join_returns_after_every_map_across_2000_pools() {
+        // Workers park right after a batch, so a join issued as `map`
+        // returns races them into `work_cv.wait`. A shutdown notify lost
+        // in that race parks a worker for good; each join runs on a
+        // watched helper thread so that fails in seconds, not never.
+        let items: Vec<u32> = (0..64).collect();
+        for round in 0..2000 {
+            let pool = Pool::new(4);
+            assert_eq!(pool.map(&items, 4, |&x| x + 1)[63], 64);
+            let (tx, rx) = std::sync::mpsc::channel();
+            let joiner = std::thread::spawn(move || {
+                pool.join();
+                tx.send(()).expect("the test thread is waiting");
+            });
+            rx.recv_timeout(std::time::Duration::from_secs(10))
+                .unwrap_or_else(|_| panic!("round {round}: Pool::join hung"));
+            joiner.join().expect("joiner thread");
+        }
     }
 
     #[test]
